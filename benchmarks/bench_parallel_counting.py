@@ -84,27 +84,3 @@ def test_parallel_counting_speedup(benchmark, report, quest_bench_db):
         f"parallel engine at workers={WORKERS} is only {speedup:.2f}x faster "
         f"than single_pass (need >= {SPEEDUP_FLOOR}x)"
     )
-
-
-def test_cache_absorbs_repeated_probes(report, quest_bench_db):
-    """The LRU table cache makes re-ranking and re-query loops count-free."""
-    from repro.core.itemsets import Itemset
-    from repro.parallel import ParallelCountingEngine
-
-    db = quest_bench_db
-    probes = [Itemset([a, b]) for a in range(24) for b in range(a + 1, 24)]
-    with ParallelCountingEngine(db, workers=1, cache_size=1024) as engine:
-        start = time.perf_counter()
-        engine.count_tables(probes)
-        cold = time.perf_counter() - start
-        start = time.perf_counter()
-        engine.count_tables(probes)
-        warm = time.perf_counter() - start
-        report(
-            "",
-            f"{len(probes)} probes: cold {cold * 1e3:.1f}ms, warm {warm * 1e3:.1f}ms "
-            f"({cold / max(warm, 1e-9):.0f}x), "
-            f"hits={engine.cache.hits} misses={engine.cache.misses}",
-        )
-        assert engine.cache.hits == len(probes)
-        assert warm < cold

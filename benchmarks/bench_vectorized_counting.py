@@ -9,7 +9,9 @@ serial backends:
 * ``vectorized``   — the batched NumPy sweeps over the packed index.
 
 Every backend must produce bit-identical cell counts; the run fails if
-any table disagrees.  Two entry points:
+any table disagrees.  Each backend is opened through the counting
+registry (:func:`repro.counting.open_backend`), exactly as the miner
+opens it.  The report opens with the host it ran on.  Two entry points:
 
 * ``python benchmarks/bench_vectorized_counting.py --output BENCH_counting.json``
   writes the machine-readable report (the ``make bench-counting`` target);
@@ -22,16 +24,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import sys
 import time
 from itertools import combinations
 
-from repro.core.contingency import ContingencyTable, count_tables_single_pass
 from repro.core.itemsets import Itemset
+from repro.counting import open_backend
 from repro.data.census import synthesize_census
 from repro.data.quest import QuestParameters, generate_quest
-from repro.kernels import HAS_NUMPY, count_tables_vectorized
-from repro.obs import MetricsRegistry
+from repro.kernels import HAS_NUMPY
+from repro.obs import Telemetry
 
 try:
     import pytest
@@ -54,17 +58,27 @@ LEVEL3_TOP_ITEMS = 40
 BACKENDS = ("single_pass", "bitmap", "vectorized")
 
 
-def _count_with(backend: str, db, itemsets, metrics=None):
-    if backend == "single_pass":
-        return count_tables_single_pass(db, itemsets)
-    if backend == "bitmap":
-        return {
-            itemset: ContingencyTable.from_database(db, itemset)
-            for itemset in itemsets
-        }
-    if backend == "vectorized":
-        return count_tables_vectorized(db, itemsets, metrics=metrics)
-    raise ValueError(backend)
+def host_info() -> dict:
+    """The machine the report was measured on."""
+    numpy_version = None
+    if HAS_NUMPY:
+        import numpy
+
+        numpy_version = numpy.__version__
+    return {
+        "platform": platform.platform(),
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": numpy_version,
+    }
+
+
+def _count_with(backend: str, db, itemsets, telemetry=None):
+    counter = open_backend(backend, db, telemetry=telemetry)
+    try:
+        return counter.count_tables(itemsets)
+    finally:
+        counter.close()
 
 
 def _level_candidates(db, level: int) -> list[Itemset]:
@@ -76,7 +90,7 @@ def _level_candidates(db, level: int) -> list[Itemset]:
     return [Itemset(triple) for triple in combinations(top, 3)]
 
 
-def _bench_level(db, level: int, metrics=None) -> dict:
+def _bench_level(db, level: int, telemetry=None) -> dict:
     """Time every backend on one level's candidates; verify cell equality."""
     itemsets = _level_candidates(db, level)
     timings: dict[str, float] = {}
@@ -86,7 +100,7 @@ def _bench_level(db, level: int, metrics=None) -> dict:
         # first-call setup are not billed to whichever backend runs first.
         _count_with(backend, db, itemsets[:1])
         start = time.perf_counter()
-        tables[backend] = _count_with(backend, db, itemsets, metrics=metrics)
+        tables[backend] = _count_with(backend, db, itemsets, telemetry=telemetry)
         timings[backend] = time.perf_counter() - start
 
     reference = tables["single_pass"]
@@ -110,7 +124,7 @@ def _bench_level(db, level: int, metrics=None) -> dict:
     }
 
 
-def _bench_dataset(db, metrics=None) -> dict:
+def _bench_dataset(db, telemetry=None) -> dict:
     # The packed index is built lazily on the first vectorized call and
     # cached on the database; build it up front and report its cost
     # separately so per-level timings compare steady-state counting.
@@ -123,8 +137,8 @@ def _bench_dataset(db, metrics=None) -> dict:
         "n_items": db.n_items,
         "packed_index_build_s": round(index_build, 6),
         "levels": {
-            "level2": _bench_level(db, 2, metrics=metrics),
-            "level3": _bench_level(db, 3, metrics=metrics),
+            "level2": _bench_level(db, 2, telemetry=telemetry),
+            "level3": _bench_level(db, 3, telemetry=telemetry),
         },
     }
 
@@ -132,23 +146,24 @@ def _bench_dataset(db, metrics=None) -> dict:
 def run_benchmark() -> dict:
     census = synthesize_census()
     quest = generate_quest(QuestParameters(**QUEST_PARAMS))
-    # The vectorized backend runs with a live metrics registry so the
-    # report embeds the kernel-dispatch counters (which sweep counted
-    # how many itemsets, numpy presence) next to the timings — the
-    # structured perf-trajectory data the observability layer provides.
-    metrics = MetricsRegistry()
+    # The backends run with live telemetry so the report embeds the
+    # kernel-dispatch counters (which sweep counted how many itemsets,
+    # numpy presence) next to the timings — the structured
+    # perf-trajectory data the observability layer provides.
+    telemetry = Telemetry.create()
     return {
         "benchmark": "vectorized counting kernels vs pure-Python backends",
         "generated_by": "benchmarks/bench_vectorized_counting.py",
+        "host": host_info(),
         "has_numpy": HAS_NUMPY,
         "backends": list(BACKENDS),
         "quest_params": dict(QUEST_PARAMS),
         "speedup_floor_vs_single_pass": SPEEDUP_FLOOR,
         "datasets": {
-            "census": _bench_dataset(census, metrics=metrics),
-            "quest": _bench_dataset(quest, metrics=metrics),
+            "census": _bench_dataset(census, telemetry=telemetry),
+            "quest": _bench_dataset(quest, telemetry=telemetry),
         },
-        "metrics": metrics.snapshot(),
+        "metrics": telemetry.metrics.snapshot(),
     }
 
 

@@ -21,38 +21,19 @@ so the ablation benchmarks can measure each one:
 
 * ``table_backend`` — ``"dict"`` or ``"fks"`` perfect hashing for
   NOTSIG/CAND membership;
-* ``counting`` — ``"bitmap"`` (vertical bitmaps + Möbius inversion per
-  candidate), ``"single_pass"`` (one scan per level building all tables
-  at once, the paper's alternative — and the only option for streaming
-  databases), ``"cube"`` (materialise a count datacube once and answer
-  every table as a roll-up — §6's datacube connection, best for narrow
-  item spaces like the census), ``"vectorized"`` (the NumPy
-  packed-bitmap kernels of :mod:`repro.kernels`: each level's
-  candidates counted in batched array sweeps, falling back to the
+* ``counting`` — the table-counting backend, one of the names in
+  :data:`repro.counting.BACKENDS`: ``"bitmap"`` (vertical bitmaps +
+  Möbius inversion per candidate), ``"single_pass"`` (one scan per
+  level building all tables at once, the paper's alternative — and the
+  only option for streaming databases), ``"vectorized"`` (the NumPy
+  packed-bitmap kernels of :mod:`repro.kernels`, falling back to the
   bitmap path when NumPy is missing), ``"parallel"`` (the sharded
-  multi-process engine of :mod:`repro.parallel`, with ``workers`` and
-  ``cache_size`` knobs — best for row counts large enough to amortise
-  process fan-out; its shards run the vectorized kernels when NumPy is
-  available, composing both backends), or ``"fptree"`` (the
-  candidate-generation-free engine of :mod:`repro.fptree`: one
-  ancestor-chain sweep of a prefix tree yields every level-2 table,
-  best for large vocabularies; levels above 2 fall back to bitmaps);
+  multi-process engine of :mod:`repro.parallel`, sized by ``workers``),
+  or ``"fptree"`` (one ancestor-chain sweep of a prefix tree yields
+  every level-2 table; levels above 2 fall back to bitmaps);
 * ``level1_pruning`` — toggle the special p > 0.25 pair pruning;
 * ``statistic`` — ``"chi2"`` (default) or ``"g"`` (likelihood-ratio
-  G-test, an upward-closed drop-in);
-* ``kernel`` / ``shared_memory`` — tuning knobs for the vectorized and
-  parallel backends: ``kernel`` selects the counting kernel (``"auto"``
-  autotunes per batch; ``"blocked"``/``"moebius"``/``"scan"`` force one
-  NumPy kernel; ``"bitmap"`` forces the pure-Python kernels inside the
-  parallel engine), and ``shared_memory`` controls whether the parallel
-  engine ships shards as zero-copy shared-memory slices (``"auto"``/
-  ``"on"``/``"off"``);
-* ``engine`` — inject a pre-built
-  :class:`~repro.parallel.ParallelCountingEngine` for
-  ``counting="parallel"``: its worker pool, shared-memory segment,
-  learned dispatch costs, and table cache then persist across
-  successive ``mine()`` calls instead of being rebuilt per run.  The
-  caller keeps ownership (the miner never closes an injected engine).
+  G-test, an upward-closed drop-in).
 """
 
 from __future__ import annotations
@@ -61,11 +42,12 @@ from dataclasses import dataclass, field
 from math import comb
 
 from repro.core.border import Border
-from repro.core.contingency import ContingencyTable, count_tables_single_pass
+from repro.core.contingency import ContingencyTable
 from repro.core.correlation import CorrelationResult, CorrelationTest
 from repro.core.itemsets import Itemset
 from repro.core.lattice import apriori_join
 from repro.core.rules import CorrelationRule
+from repro.counting import CountingBackend, check_backend, open_backend
 from repro.data.basket import BasketDatabase
 from repro.hashing.itemset_table import ItemsetTable
 from repro.measures.cellsupport import (
@@ -95,8 +77,9 @@ class LevelStats:
             support/significance tests, and the next level's join), as
             measured by the run's tracer; ``0.0`` when telemetry is
             disabled (the default).
-        counting_seconds: the share of ``wall_seconds`` spent producing
-            contingency tables; ``0.0`` when telemetry is disabled.
+        counting_seconds: the share of ``wall_seconds`` spent in the
+            level's one ``count_tables`` call (its ``mine.level.count``
+            span); ``0.0`` when telemetry is disabled.
     """
 
     level: int
@@ -186,10 +169,6 @@ class ChiSquaredSupportMiner:
         statistic: str = "chi2",
         min_expected_cell: float = 0.0,
         workers: int | None = None,
-        cache_size: int = 256,
-        kernel: str = "auto",
-        shared_memory: str | bool = "auto",
-        engine=None,
         telemetry: Telemetry | None = None,
     ) -> None:
         if isinstance(support, AntiSupport):
@@ -200,19 +179,11 @@ class ChiSquaredSupportMiner:
                 "anti-support cannot be combined with the chi-squared test; "
                 "use it as a standalone filter or with a random-walk search"
             )
-        if counting not in ("bitmap", "single_pass", "cube", "vectorized", "parallel", "fptree"):
-            raise ValueError(f"unknown counting strategy {counting!r}")
+        check_backend(counting)
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if statistic not in ("chi2", "g"):
             raise ValueError(f"unknown statistic {statistic!r}")
-        if kernel not in ("auto", "bitmap", "vectorized", "blocked", "moebius", "scan"):
-            raise ValueError(f"unknown counting kernel {kernel!r}")
-        if engine is not None and counting != "parallel":
-            raise ValueError(
-                "an injected engine requires counting='parallel', "
-                f"got counting={counting!r}"
-            )
         # min_expected_cell > 0 applies §3.3's interim policy during
         # mining: cells with tiny expectation are dropped from the sum.
         self.test = CorrelationTest(
@@ -225,10 +196,6 @@ class ChiSquaredSupportMiner:
         self.level1_pruning = level1_pruning
         self.statistic_name = statistic
         self.workers = workers
-        self.cache_size = cache_size
-        self.kernel = kernel
-        self.shared_memory = shared_memory
-        self.engine = engine
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
 
     # -- statistic hook -------------------------------------------------------
@@ -291,15 +258,19 @@ class ChiSquaredSupportMiner:
         """Run the algorithm over a database and return all outputs."""
         if db.n_baskets == 0:
             raise ValueError("cannot mine an empty database")
+        return self._mine(db, None)
+
+    def _mine(self, db: BasketDatabase, backend: CountingBackend | None) -> MiningResult:
+        """The run, counting through ``backend`` when one is handed in.
+
+        ``None`` opens the configured backend for this run and closes it
+        afterwards.  The incremental miner hands in its own table engine
+        instead (which it keeps), so both miners share this loop.
+        """
         rules: list[CorrelationRule] = []
         border = Border()
         stats: list[LevelStats] = []
-        self._examined = 0
-
-        cube = None
-        engine = None
-        owns_engine = False
-        dispatcher = None
+        all_notsig: list[Itemset] = []
         with self.telemetry.tracer.span(
             "mine",
             counting=self.counting,
@@ -307,68 +278,20 @@ class ChiSquaredSupportMiner:
             n_baskets=db.n_baskets,
             n_items=db.n_items,
         ):
-            if self.counting == "cube":
-                from repro.data.datacube import CountDatacube
-
-                cube = CountDatacube(db, db.vocabulary.ids())
-            elif self.counting == "parallel":
-                if self.engine is not None:
-                    # Injected engine: its pool, shared-memory segment,
-                    # learned dispatch costs, and cache persist across
-                    # mine() calls.  The caller owns its lifetime.
-                    if self.engine.db is not db:
-                        raise ValueError(
-                            "injected engine is bound to a different database"
-                        )
-                    engine = self.engine
-                else:
-                    from repro.parallel import ParallelCountingEngine
-
-                    engine = ParallelCountingEngine(
-                        db,
-                        workers=self.workers,
-                        cache_size=self.cache_size,
-                        kernel=self.kernel,
-                        shared_memory=self.shared_memory,
-                        telemetry=self.telemetry,
-                    )
-                    owns_engine = True
-            elif self.counting == "fptree":
-                from repro.fptree import FPTreePairEngine
-
-                engine = FPTreePairEngine(db, telemetry=self.telemetry)
-                owns_engine = True
-            elif self.counting == "vectorized":
-                from repro.kernels import DISPATCH_MODES, KernelDispatcher
-
-                # One dispatcher for the whole run, so the autotuner's
-                # cost model carries across levels instead of restarting
-                # from its priors at each level.
-                mode = self.kernel if self.kernel in DISPATCH_MODES else "auto"
-                dispatcher = KernelDispatcher(
-                    mode=mode, metrics=self.telemetry.metrics
+            owned = backend is None
+            if owned:
+                backend = open_backend(
+                    self.counting, db, workers=self.workers, telemetry=self.telemetry
                 )
-
-            with self.telemetry.tracer.span("mine.seed_pairs"):
-                candidates = self._initial_candidates(db)
-            level = 2
-            all_notsig: list[Itemset] = []
             try:
-                self._mine_levels(
-                    db,
-                    candidates,
-                    level,
-                    cube,
-                    engine,
-                    dispatcher,
-                    rules,
-                    border,
-                    stats,
-                    all_notsig,
+                with self.telemetry.tracer.span("mine.seed_pairs"):
+                    candidates = self._initial_candidates(db)
+                examined = self._mine_levels(
+                    db, candidates, backend, rules, border, stats, all_notsig
                 )
             finally:
-                if engine is not None and owns_engine:
-                    engine.close()
+                if owned:
+                    backend.close()
 
         return MiningResult(
             rules=rules,
@@ -377,7 +300,7 @@ class ChiSquaredSupportMiner:
             supported_uncorrelated=sorted(all_notsig),
             significance=self.test.significance,
             support=self.support,
-            items_examined=self._examined,
+            items_examined=examined,
             telemetry=self.telemetry,
         )
 
@@ -385,21 +308,18 @@ class ChiSquaredSupportMiner:
         self,
         db: BasketDatabase,
         candidates: list[Itemset],
-        level: int,
-        cube,
-        engine,
-        dispatcher,
+        backend: CountingBackend,
         rules: list[CorrelationRule],
         border: Border,
         stats: list[LevelStats],
         all_notsig: list[Itemset],
-    ) -> None:
-        """The level-wise loop, split out so ``mine`` can own cleanup."""
+    ) -> int:
+        """The level-wise loop; returns how many candidates it examined."""
         k = db.n_items
+        level = 2
         examined = 0
         tracer = self.telemetry.tracer
         metrics = self.telemetry.metrics
-        clock = self.telemetry.clock
         while candidates and (self.max_level is None or level <= self.max_level):
             n_candidates = len(candidates)
             with tracer.span(
@@ -412,41 +332,12 @@ class ChiSquaredSupportMiner:
                 with tracer.span(
                     "mine.level.count", backend=self.counting, candidates=n_candidates
                 ) as count_span:
-                    if self.counting == "single_pass":
-                        tables = count_tables_single_pass(db, candidates)
-                    elif self.counting == "vectorized":
-                        from repro.kernels import count_tables_vectorized
+                    tables = backend.count_tables(candidates)
 
-                        tables = count_tables_vectorized(
-                            db, candidates, metrics=metrics, dispatcher=dispatcher
-                        )
-                    elif engine is not None:
-                        tables = engine.count_tables(candidates)
-                    else:
-                        tables = None
-                counting_seconds = count_span.duration
-
+                examined += n_candidates
                 cutoff = self.test.cutoff
-                # The bitmap/cube paths count table-by-table inside the
-                # candidate loop, so their counting share is accumulated
-                # around each construction — but only when telemetry is
-                # on, to keep the disabled hot loop branch-light.
-                time_each_table = self.telemetry.enabled and tables is None
                 for candidate in candidates:
-                    examined += 1
-                    if tables is not None:
-                        table = tables[candidate]
-                    elif time_each_table:
-                        before = clock()
-                        if cube is not None:
-                            table = cube.table_for(candidate)
-                        else:
-                            table = ContingencyTable.from_database(db, candidate)
-                        counting_seconds += clock() - before
-                    elif cube is not None:
-                        table = cube.table_for(candidate)
-                    else:
-                        table = ContingencyTable.from_database(db, candidate)
+                    table = tables[candidate]
                     if not self.support(table):
                         discarded += 1
                         continue
@@ -501,12 +392,12 @@ class ChiSquaredSupportMiner:
                     significant=significant,
                     not_significant=len(notsig),
                     wall_seconds=level_span.duration,
-                    counting_seconds=counting_seconds,
+                    counting_seconds=count_span.duration,
                 )
             )
             candidates = next_candidates
             level += 1
-        self._examined = examined
+        return examined
 
 
 def mine_significant_itemsets(

@@ -7,7 +7,6 @@ all it takes to extend the linter.
 """
 
 from repro.analysis.rules import (  # noqa: F401 - imported for registration
-    backend_drift,
     clock_discipline,
     float_equality,
     fork_safety,

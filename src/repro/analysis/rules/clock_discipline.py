@@ -3,7 +3,7 @@
 The repo's determinism story rests on one discipline: anything that
 reads wall time does it through an injectable
 :class:`~repro.obs.clock.Clock` (``default_clock()`` in production, a
-``FakeClock`` in tests), so spans, histograms, autotune observations
+``FakeClock`` in tests), so spans, histograms, pool timings
 and event timestamps are byte-reproducible under test.  A stray
 ``time.perf_counter()`` / ``time.time()`` / ``time.monotonic()`` deep
 in library code reintroduces real time where a test injected a fake

@@ -1,8 +1,7 @@
 """RPR012 — drift between the CLI, the API, and the documented knobs.
 
-RPR004 keeps one tuple — the counting-backend names — in sync across
-three files.  This rule generalizes the idea to the miner's *entire
-configuration surface*.  Three surfaces must agree:
+The miner's configuration surface is spelled out three times, and no
+type checker reconciles the copies.  Three surfaces must agree:
 
 * the authoritative knob set: ``ChiSquaredSupportMiner.__init__`` in
   ``chi2support.py`` (the constructor parameters, minus internal
@@ -14,8 +13,9 @@ configuration surface*.  Three surfaces must agree:
   (minus presentation flags) must map to a miner knob (``-`` ↔ ``_``).
 
 Knobs the CLI does not expose are the *API-only* surface; those must at
-least be named somewhere under ``docs/``, or they are undiscoverable —
-the drift RPR004 cannot see because no literal tuple ever disagrees.
+least be named somewhere under ``docs/``, or they are undiscoverable.
+(Backend *names* need no rule: the miner, the CLI and the tests all
+read them from :data:`repro.counting.BACKENDS`.)
 
 The composite ``support`` parameter is special: the CLI and
 ``mine_correlations`` spell it as the pair ``support_count`` /
@@ -41,7 +41,7 @@ _CLI_FILE = "cli.py"
 _CLI_COMMAND = "mine"
 
 # Constructor parameters that are plumbing, not user-facing knobs.
-_INTERNAL_PARAMS = {"self", "engine", "telemetry"}
+_INTERNAL_PARAMS = {"self", "telemetry"}
 # The composite support threshold and the pair of scalars it travels as.
 _COMPOSITE = {"support": ("support_count", "support_fraction")}
 # CLI flags that shape input/output, not the mining computation.

@@ -21,7 +21,7 @@ basket per line, whitespace-separated item names (default) or integer
 ids (``--numeric``).
 
 ``mine`` is fully observable: ``--telemetry`` prints the run report
-(Table 5 with timings, cache/kernel/pool rollups) on stderr,
+(Table 5 with timings, kernel/pool rollups) on stderr,
 ``--metrics-out FILE`` writes the metrics snapshot + run report as
 JSON, ``--trace-out FILE`` writes a Chrome trace-event file loadable
 in ``chrome://tracing``/Perfetto, and ``--profile`` samples the run
@@ -40,6 +40,7 @@ from collections.abc import Sequence
 from repro.algorithms.apriori import apriori
 from repro.algorithms.chi2support import ChiSquaredSupportMiner
 from repro.algorithms.rulegen import generate_rules
+from repro.counting import BACKENDS
 from repro.data.basket import BasketDatabase
 from repro.data.io import (
     read_named_baskets,
@@ -89,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     mine.add_argument("--statistic", choices=["chi2", "g"], default="chi2")
     mine.add_argument(
         "--counting",
-        choices=["bitmap", "single_pass", "cube", "vectorized", "parallel", "fptree"],
+        choices=sorted(BACKENDS),
         default="bitmap",
         help=(
             "contingency-table counting backend (vectorized = NumPy batch "
@@ -101,33 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="worker processes for --counting parallel (default: all cores)",
-    )
-    mine.add_argument(
-        "--cache-size",
-        type=int,
-        default=256,
-        help="LRU contingency-table cache capacity for --counting parallel",
-    )
-    mine.add_argument(
-        "--kernel",
-        choices=["auto", "blocked", "moebius", "scan", "bitmap"],
-        default="auto",
-        help=(
-            "counting kernel for --counting vectorized/parallel: auto picks "
-            "per batch from observed timings; blocked/moebius/scan force one "
-            "NumPy kernel; bitmap forces the pure-Python kernels in the "
-            "parallel engine (every kernel is bit-identical)"
-        ),
-    )
-    mine.add_argument(
-        "--shared-memory",
-        choices=["auto", "on", "off"],
-        default="auto",
-        help=(
-            "shard transport for --counting parallel: auto uses zero-copy "
-            "shared-memory slices when NumPy allows, on requires them, off "
-            "always pickles shards to workers"
-        ),
     )
     mine.add_argument("--limit", type=int, default=50, help="print at most this many rules")
     mine.add_argument(
@@ -233,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-level", type=int, default=None)
     serve.add_argument(
         "--counting",
-        choices=["bitmap", "single_pass", "cube", "vectorized", "parallel", "fptree"],
+        choices=sorted(BACKENDS),
         default="bitmap",
         help="table-counting backend for incremental re-mines",
     )
@@ -291,9 +265,6 @@ def _command_mine(args: argparse.Namespace) -> int:
         statistic=args.statistic,
         counting=args.counting,
         workers=args.workers,
-        cache_size=args.cache_size,
-        kernel=args.kernel,
-        shared_memory=args.shared_memory,
         telemetry=telemetry,
     )
     profiler = None

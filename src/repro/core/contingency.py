@@ -125,7 +125,8 @@ class ContingencyTable:
         table._itemset = itemset
         table._n = db.n_baskets
         table._counts = counts
-        table._marginals = tuple(float(db.item_count(i)) for i in itemset.items)
+        # A list, not a generator: measurably cheaper at this call rate.
+        table._marginals = tuple([float(db.item_count(i)) for i in itemset.items])
         return table
 
     @classmethod

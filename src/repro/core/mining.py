@@ -16,12 +16,13 @@ suite in ``tests/service`` asserts exactly that).
 
 from __future__ import annotations
 
+import gc
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.core.border import Border
-from repro.core.contingency import ContingencyTable, count_tables_single_pass
+from repro.core.contingency import ContingencyTable, count_cells
 from repro.core.correlation import CorrelationTest
 from repro.core.itemsets import Itemset, ItemVocabulary
 from repro.core.rules import AssociationRule, CorrelationRule
@@ -86,7 +87,6 @@ def mine_correlations(
     max_level: int | None = None,
     counting: str = "bitmap",
     workers: int | None = None,
-    cache_size: int = 256,
     telemetry: "Telemetry | None" = None,
     **kwargs: object,
 ) -> "MiningResult":
@@ -94,13 +94,12 @@ def mine_correlations(
 
     The main entry point; see :class:`ChiSquaredSupportMiner` for the
     advanced knobs reachable through ``kwargs``.  ``counting`` selects
-    the table-counting backend (``"bitmap"``, ``"single_pass"``,
-    ``"cube"``, the NumPy batch-sweep ``"vectorized"``, the sharded
-    multi-process ``"parallel"``, whose shards themselves run the
-    vectorized kernels when NumPy is available, or the
-    candidate-generation-free FP-tree sweep ``"fptree"``); ``workers`` and
-    ``cache_size`` configure the parallel engine and are ignored by the
-    serial backends.
+    the table-counting backend, one of :data:`repro.counting.BACKENDS`
+    (``"bitmap"``, ``"single_pass"``, the NumPy batch-sweep
+    ``"vectorized"``, the sharded multi-process ``"parallel"``, whose
+    shards themselves run the vectorized kernels, or the FP-tree sweep
+    ``"fptree"``); ``workers`` sizes the parallel engine's pool and is
+    ignored by the serial backends.
 
     ``telemetry`` (a :class:`repro.obs.Telemetry`) turns on the run's
     observability: hierarchical spans, mining metrics, and the Table-5
@@ -116,7 +115,6 @@ def mine_correlations(
         max_level=max_level,
         counting=counting,
         workers=workers,
-        cache_size=cache_size,
         telemetry=telemetry,
         **kwargs,  # type: ignore[arg-type]
     )
@@ -212,19 +210,11 @@ class _PendingView:
         return self._item_counts[item]
 
 
-def _extract_cells(tables: dict[Itemset, ContingencyTable]) -> dict[Itemset, dict[int, int]]:
-    """Exact integer cell counts out of a batch of kernel-built tables."""
-    return {
-        itemset: {int(cell): int(count) for cell, count in table.nonzero_counts().items()}
-        for itemset, table in tables.items()
-    }
-
-
 class _IncrementalTableEngine:
     """Serves post-append contingency tables from cumulative cell counts.
 
-    Injected into :class:`~repro.algorithms.chi2support.ChiSquaredSupportMiner`
-    through the existing engine hook, so the *decision cascade* (support
+    Handed to :class:`~repro.algorithms.chi2support.ChiSquaredSupportMiner`
+    as the run's counting backend, so the *decision cascade* (support
     test, statistic, border updates, candidate join) is the batch
     miner's own code — the only thing incremental about the run is where
     the tables come from:
@@ -269,35 +259,29 @@ class _IncrementalTableEngine:
         """Count cells with the configured backend (all are bit-identical)."""
         if not itemsets:
             return {}
-        backend = self._backend
-        if backend == "single_pass":
-            return _extract_cells(count_tables_single_pass(db, itemsets))
-        if backend == "vectorized":
-            from repro.kernels import count_tables_vectorized
+        from repro.counting import open_backend
 
-            return _extract_cells(count_tables_vectorized(db, itemsets))
-        if backend == "parallel":
-            from repro.parallel import ParallelCountingEngine
-
-            # Share the append's telemetry bundle so worker-side counters
-            # merged by the pool land in this run's registry and /metrics.
-            with ParallelCountingEngine(
-                db, workers=self._workers, telemetry=self._telemetry
-            ) as engine:
-                return _extract_cells(engine.count_tables(itemsets))
-        if backend == "fptree":
-            from repro.fptree import FPTreePairEngine
-
-            return _extract_cells(FPTreePairEngine(db).count_tables(itemsets))
-        # bitmap and cube: per-candidate exact counting over the
-        # vertical index (a delta-sized datacube would cost more than
-        # it answers; the counts are identical either way).
-        from repro.core.contingency import count_cells
-
-        return {
-            itemset: {int(c): int(v) for c, v in count_cells(db, itemset).items()}
-            for itemset in itemsets
-        }
+        # Share the append's telemetry bundle so the backend's counters
+        # (kernel dispatch, pool events) land in this run's registry.
+        backend = open_backend(
+            self._backend, db, workers=self._workers, telemetry=self._telemetry
+        )
+        # Only the cells outlive this call, but a whole level of tables is
+        # alive at once; with the cyclic collector running, they get
+        # promoted and tip a full collection into the append (measured at
+        # 27-48 ms per append on perfsuite's text-wide and quest-levels).
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            tables = backend.count_tables(itemsets)
+            # Every backend counts exact Python ints, and the merge below
+            # only reads these cells (it copies before adding), so they
+            # are shared.
+            return {itemset: table.nonzero_counts() for itemset, table in tables.items()}
+        finally:
+            backend.close()
+            if collecting:
+                gc.enable()
 
     def count_tables(self, candidates: Sequence[Itemset]) -> dict[Itemset, ContingencyTable]:
         fresh = [c for c in candidates if c not in self._cached]
@@ -320,8 +304,6 @@ class _IncrementalTableEngine:
                     continue
                 old_items = tuple(i for i in candidate.items if i < base_items)
                 if old_items:
-                    from repro.core.contingency import count_cells
-
                     sub_cells = count_cells(self._base_db, Itemset(old_items))
                     base_fresh[candidate] = {
                         int(c): int(v) for c, v in sub_cells.items()
@@ -407,11 +389,9 @@ class IncrementalMiner:
         db: AppendableBasketDatabase | None = None,
         telemetry_factory: "Callable[[], Telemetry] | None" = None,
     ) -> None:
-        from repro.algorithms.chi2support import ChiSquaredSupportMiner
+        from repro.counting import check_backend
 
-        # Delegate backend-name validation to the canonical check so the
-        # accepted set can never drift from the batch miner's.
-        ChiSquaredSupportMiner(counting=counting)
+        check_backend(counting)
         self.significance = significance
         self.support = CellSupport(count=support_count, fraction=support_fraction)
         self.max_level = max_level
@@ -508,11 +488,10 @@ class IncrementalMiner:
             significance=self.significance,
             support=self.support,
             max_level=self.max_level,
-            counting="parallel",
-            engine=engine,
+            counting=self.counting,
             telemetry=telemetry,
         )
-        result = miner.mine(view)  # type: ignore[arg-type]
+        result = miner._mine(view, engine)  # type: ignore[arg-type]
 
         # -- phase B: the infallible commit --
         generation = self.db.commit(staged)

@@ -1,0 +1,148 @@
+"""The counting-backend registry (`repro.counting`).
+
+Figure 1 of the paper needs one thing from its counting layer: the
+contingency table of every candidate at a level.  §4 names two ways to
+get them — per-candidate vertical bitmaps, or one database pass per
+level — and the repository adds three more.  Each is a
+:class:`CountingBackend`: ``count_tables(candidates)`` returns one
+table per candidate, ``close()`` releases whatever the backend holds
+(a worker pool, a shared-memory segment).  :data:`BACKENDS` maps every
+backend name to its factory; the miners, the CLI and the tests all
+read their backend list from it.
+
+* ``bitmap`` — per-candidate bitmap intersection plus Möbius inversion
+  (:meth:`ContingencyTable.from_database`);
+* ``single_pass`` — one scan per level building every table at once,
+  the paper's alternative and the only option for streaming data;
+* ``vectorized`` — the NumPy packed-bitmap kernels of
+  :mod:`repro.kernels` (pure-Python fallback without NumPy);
+* ``parallel`` — the sharded multi-process engine of
+  :mod:`repro.parallel`, whose shards run the vectorized kernels;
+* ``fptree`` — one ancestor-chain sweep of an FP-tree for the pairs,
+  bitmaps above level 2 (:mod:`repro.fptree`).
+
+Every backend produces bit-identical tables; the differential
+backend-equivalence suite holds them to that.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Callable, Sequence
+from typing import TYPE_CHECKING, Protocol
+
+from repro.core.contingency import ContingencyTable, count_tables_single_pass
+from repro.core.itemsets import Itemset
+from repro.obs import NULL_TELEMETRY
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.data.basket import BasketDatabase
+    from repro.obs import Telemetry
+
+__all__ = ["BACKENDS", "CountingBackend", "check_backend", "open_backend"]
+
+
+class CountingBackend(Protocol):
+    """What the miners need from a counting strategy."""
+
+    def count_tables(
+        self, candidates: Sequence[Itemset]
+    ) -> dict[Itemset, ContingencyTable]:
+        """The contingency table of every candidate, keyed by itemset."""
+        ...
+
+    def close(self) -> None:
+        """Release the backend's resources (idempotent)."""
+        ...
+
+
+class _BitmapBackend:
+    """Per-candidate bitmap counting over the database's vertical index."""
+
+    def __init__(self, db: "BasketDatabase", *, workers=None, telemetry=None) -> None:
+        self.db = db
+
+    def count_tables(
+        self, candidates: Sequence[Itemset]
+    ) -> dict[Itemset, ContingencyTable]:
+        db = self.db
+        return {
+            candidate: ContingencyTable.from_database(db, candidate)
+            for candidate in candidates
+        }
+
+    def close(self) -> None:
+        return None
+
+
+class _SinglePassBackend(_BitmapBackend):
+    """One database pass per level (§4's alternative)."""
+
+    def count_tables(
+        self, candidates: Sequence[Itemset]
+    ) -> dict[Itemset, ContingencyTable]:
+        return count_tables_single_pass(self.db, candidates)
+
+
+class _VectorizedBackend:
+    """Batched NumPy sweeps over the packed bitmap index."""
+
+    def __init__(self, db: "BasketDatabase", *, workers=None, telemetry=None) -> None:
+        self.db = db
+        self.metrics = (telemetry if telemetry is not None else NULL_TELEMETRY).metrics
+
+    def count_tables(
+        self, candidates: Sequence[Itemset]
+    ) -> dict[Itemset, ContingencyTable]:
+        from repro.kernels import count_tables_vectorized
+
+        return count_tables_vectorized(self.db, candidates, metrics=self.metrics)
+
+    def close(self) -> None:
+        return None
+
+
+def _parallel(db: "BasketDatabase", *, workers=None, telemetry=None) -> CountingBackend:
+    from repro.parallel import ParallelCountingEngine
+
+    return ParallelCountingEngine(db, workers=workers, telemetry=telemetry)
+
+
+def _fptree(db: "BasketDatabase", *, workers=None, telemetry=None) -> CountingBackend:
+    from repro.fptree import FPTreePairEngine
+
+    return FPTreePairEngine(db, telemetry=telemetry)
+
+
+BACKENDS: dict[str, Callable[..., CountingBackend]] = {
+    "bitmap": _BitmapBackend,
+    "single_pass": _SinglePassBackend,
+    "vectorized": _VectorizedBackend,
+    "parallel": _parallel,
+    "fptree": _fptree,
+}
+
+
+def check_backend(name: str) -> str:
+    """``name`` if it is a registered backend; ``ValueError`` otherwise."""
+    if name not in BACKENDS:
+        raise ValueError(
+            f"unknown counting backend {name!r}; "
+            f"expected one of {', '.join(sorted(BACKENDS))}"
+        )
+    return name
+
+
+def open_backend(
+    name: str,
+    db: "BasketDatabase",
+    *,
+    workers: int | None = None,
+    telemetry: "Telemetry | None" = None,
+) -> CountingBackend:
+    """A fresh backend ``name`` over ``db``; the caller must close it.
+
+    ``workers`` sizes the parallel backend's pool; the serial backends
+    ignore it.  ``telemetry`` receives the backend's own spans and
+    counters (kernel dispatch, pool events, FP-tree build).
+    """
+    return BACKENDS[check_backend(name)](db, workers=workers, telemetry=telemetry)

@@ -8,18 +8,15 @@ bitmaps), and three kernels count contingency cells on it —
 * a **batched level-2 sweep** (`repro.kernels.sweep`) that counts all
   candidate pairs of a level in one vectorized row-broadcast AND +
   popcount pass (plus a level-3 twin),
-* a **vectorized Möbius kernel** (`repro.kernels.moebius`) that walks
-  the subset-support DFS with array intersections and inverts with
-  strided folds, and
+* a **blocked level-k kernel** (`repro.kernels.blocked`) that walks the
+  subset-support DFS once per level for a whole batch of candidates, in
+  cache-resident chunks, and
 * a **basket-major scan** (`repro.kernels.scan`) that unpacks wide
   itemsets' rows to ``uint8`` chunks and bins cell ids with
   ``np.unique``.
 
-* a **blocked level-k kernel** (`repro.kernels.blocked`) that batches
-  the Möbius walk over the candidate axis — one DFS per level instead
-  of one per itemset — in cache-resident chunks, and
-* a **telemetry-driven dispatcher** (`repro.kernels.autotune`) that
-  picks the kernel per batch from width, shape, and observed timings.
+A static width table (:data:`KERNEL_BY_WIDTH`, applied by
+:func:`kernel_for_width`) picks the kernel for each same-width group.
 
 Every kernel computes exact integer counts, bit-identical to the
 pure-Python kernels in :mod:`repro.core.contingency` (the differential
@@ -43,53 +40,67 @@ from repro.core import contingency as _contingency
 from repro.core.contingency import ContingencyTable, count_cells
 from repro.core.itemsets import Itemset
 from repro.data.basket import BasketDatabase
-from repro.kernels.autotune import DISPATCH_MODES, KernelDispatcher
 from repro.kernels.packed import HAS_NUMPY, PackedBitmapIndex, popcount
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
-    "DISPATCH_MODES",
     "HAS_NUMPY",
-    "KernelDispatcher",
-    "MOEBIUS_MAX_ITEMS",
+    "KERNEL_BY_WIDTH",
     "PackedBitmapIndex",
     "count_cells_batch",
     "count_cells_batch_packed",
     "count_cells_vectorized",
     "count_tables_vectorized",
+    "kernel_for_width",
     "popcount",
 ]
 
-# Möbius-vs-scan cutoff, shared with the pure-Python dispatcher so both
-# paths switch kernels at the same width.
-MOEBIUS_MAX_ITEMS = _contingency._MAX_DENSE_ITEMS
+# The kernel for each itemset width, as ``(widest k, kernel)`` rows in
+# increasing order: closed-form grams for pairs and triples, the blocked
+# subset-lattice kernel up to the pure-Python dense ceiling (2^12
+# cells), and the basket-major scan up to the widest cell id int64
+# holds.  Wider itemsets need big-int cell ids and only a database can
+# count them (the pure-Python sparse scan).
+KERNEL_BY_WIDTH = (
+    (1, "unit"),
+    (3, "gram"),
+    (_contingency._MAX_DENSE_ITEMS, "blocked"),
+    (63, "scan"),
+)
 
 # Widest itemset whose cell ids fit the scan kernel's int64 arithmetic.
-_MAX_SCAN_ITEMS = 63
+_MAX_SCAN_ITEMS = KERNEL_BY_WIDTH[-1][0]
+
+
+def kernel_for_width(k: int) -> str:
+    """The kernel that counts width-``k`` itemsets on a packed index.
+
+    >>> [kernel_for_width(k) for k in (1, 2, 3, 4, 12, 13, 63)]
+    ['unit', 'gram', 'gram', 'blocked', 'blocked', 'scan', 'scan']
+    """
+    if k < 1:
+        raise ValueError("a contingency table needs at least one item")
+    for widest, kernel in KERNEL_BY_WIDTH:
+        if k <= widest:
+            return kernel
+    raise ValueError(f"packed kernels cap at {_MAX_SCAN_ITEMS} items, got {k}")
 
 
 def count_cells_batch(
     db: BasketDatabase,
     itemsets: Sequence[Itemset],
     metrics: "MetricsRegistry | None" = None,
-    dispatcher: KernelDispatcher | None = None,
 ) -> list[dict[int, int]]:
     """Exact sparse cell counts for a batch of itemsets, vectorized.
 
     The batch entry point behind ``counting="vectorized"`` and the
-    parallel engine's vectorized shards: itemsets are grouped by width
-    and each group is handed to the kernel the dispatcher picks —
-    closed-form grams for pairs/triples, the blocked level-k kernel or
-    the per-itemset Möbius walk for mid widths, the basket-major scan
-    for wide ones.  Results align with the input order and are
-    bit-identical to :func:`repro.core.contingency.count_cells` per
-    itemset.
+    parallel engine's shards: itemsets are grouped by width and each
+    group is handed to the kernel :func:`kernel_for_width` names.
+    Results align with the input order and are bit-identical to
+    :func:`repro.core.contingency.count_cells` per itemset.
 
-    ``dispatcher`` (a :class:`KernelDispatcher`) carries the forced
-    mode and the learned cost model; ``None`` creates a cold ``auto``
-    dispatcher per call, which reduces to the static dispatch table.
     ``metrics`` (a :class:`repro.obs.MetricsRegistry`) receives one
     ``kernel_dispatch{path=...}`` increment per itemset recording which
     kernel counted it, plus the ``numpy_present`` gauge — the dispatch
@@ -118,9 +129,7 @@ def count_cells_batch(
             packed_slots.append(slot)
             packed_items.append(items)
     if packed_items:
-        counted = count_cells_batch_packed(
-            index, packed_items, dispatcher=dispatcher, record=dispatch
-        )
+        counted = count_cells_batch_packed(index, packed_items, record=dispatch)
         for slot, cells in zip(packed_slots, counted):
             results[slot] = cells
     return results  # type: ignore[return-value]
@@ -129,7 +138,6 @@ def count_cells_batch(
 def count_cells_batch_packed(
     index: PackedBitmapIndex,
     candidates: Sequence[tuple[int, ...]],
-    dispatcher: KernelDispatcher | None = None,
     record=None,
 ) -> list[dict[int, int]]:
     """Sparse cell counts for sorted item-id tuples over a packed index.
@@ -138,22 +146,19 @@ def count_cells_batch_packed(
     needs lives in the :class:`PackedBitmapIndex`, so shared-memory pool
     workers call it directly on a zero-copy view of the parent's packed
     matrix.  Candidates are grouped by width, each group counted by the
-    kernel ``dispatcher`` chooses (and timed to feed its cost model).
-    Widths past the 63-item scan ceiling raise — only a database can
-    count those (big-int cell ids); the callers route them beforehand.
+    kernel :func:`kernel_for_width` names.  Widths past the 63-item scan
+    ceiling raise — only a database can count those (big-int cell ids);
+    the callers route them beforehand.
 
     ``record`` is an optional ``(path, n)`` callable receiving one call
     per group, wired to the ``kernel_dispatch`` counters by
     :func:`count_cells_batch`.
     """
     from repro.kernels.blocked import count_cells_blocked
-    from repro.kernels.moebius import count_cells_moebius
     from repro.kernels.scan import count_cells_scan
     from repro.kernels.sweep import count_pairs_batch, count_triples_batch
 
     candidates = list(candidates)
-    if dispatcher is None:
-        dispatcher = KernelDispatcher()
     results: list[dict[int, int] | None] = [None] * len(candidates)
     groups: dict[int, list[int]] = {}
     for slot, items in enumerate(candidates):
@@ -161,28 +166,25 @@ def count_cells_batch_packed(
     for k in sorted(groups):
         slots = groups[k]
         group = [candidates[slot] for slot in slots]
-        path = dispatcher.choose(k, len(group), index.n_words)
+        path = kernel_for_width(k)
         if record is not None:
             record(path, len(group))
-        with dispatcher.timed(path, k, len(group), index.n_words):
-            if path == "unit":
-                n = index.n_baskets
-                counted = []
-                for items in group:
-                    count = int(index.counts[items[0]])
-                    cells = {0b1: count, 0b0: n - count}
-                    counted.append({cell: c for cell, c in cells.items() if c})
-            elif path == "gram":
-                if k == 2:
-                    counted = count_pairs_batch(index, group)
-                else:
-                    counted = count_triples_batch(index, group)
-            elif path == "blocked":
-                counted = count_cells_blocked(index, group)
-            elif path == "moebius":
-                counted = [count_cells_moebius(index, items) for items in group]
+        if path == "unit":
+            n = index.n_baskets
+            counted = []
+            for items in group:
+                count = int(index.counts[items[0]])
+                cells = {0b1: count, 0b0: n - count}
+                counted.append({cell: c for cell, c in cells.items() if c})
+        elif path == "gram":
+            if k == 2:
+                counted = count_pairs_batch(index, group)
             else:
-                counted = [count_cells_scan(index, items) for items in group]
+                counted = count_triples_batch(index, group)
+        elif path == "blocked":
+            counted = count_cells_blocked(index, group)
+        else:
+            counted = [count_cells_scan(index, items) for items in group]
         for slot, cells in zip(slots, counted):
             results[slot] = cells
     return results  # type: ignore[return-value]
@@ -222,7 +224,6 @@ def count_tables_vectorized(
     db: BasketDatabase,
     itemsets: Iterable[Itemset],
     metrics: "MetricsRegistry | None" = None,
-    dispatcher: KernelDispatcher | None = None,
 ) -> dict[Itemset, ContingencyTable]:
     """Contingency tables for a batch of itemsets via the vectorized kernels.
 
@@ -233,9 +234,7 @@ def count_tables_vectorized(
     from the index's item counts), skipping the intermediate dict pass
     the shard wire format needs.  ``metrics`` records per-itemset
     ``kernel_dispatch`` counters exactly as :func:`count_cells_batch`
-    does; a ``dispatcher`` with a forced mode reroutes pairs/triples
-    through that kernel too (the closed-form columns only serve the
-    ``auto`` fast path).
+    does.
     """
     itemsets = list(itemsets)
     n = db.n_baskets
@@ -253,12 +252,11 @@ def count_tables_vectorized(
     pair_group: list[Itemset] = []
     triple_group: list[Itemset] = []
     other_group: list[Itemset] = []
-    forced = dispatcher is not None and dispatcher.mode != "auto"
     for itemset in itemsets:
         k = len(itemset)
-        if k == 2 and not forced:
+        if k == 2:
             pair_group.append(itemset)
-        elif k == 3 and not forced:
+        elif k == 3:
             triple_group.append(itemset)
         else:
             other_group.append(itemset)
@@ -307,9 +305,7 @@ def count_tables_vectorized(
                 itemset, cells, tuple(map(float, marginals)), n
             )
     if other_group:
-        cell_batches = count_cells_batch(
-            db, other_group, metrics=metrics, dispatcher=dispatcher
-        )
+        cell_batches = count_cells_batch(db, other_group, metrics=metrics)
         for itemset, cells in zip(other_group, cell_batches):
             marginals = tuple(
                 float(index.counts[item]) for item in itemset.items

@@ -1,9 +1,9 @@
 """Blocked level-k counting kernel — batched over the candidate axis.
 
-The general successor to the per-itemset Möbius kernel: where
-``count_cells_moebius`` walks the subset-support DFS once per candidate
-(paying Python loop and dispatch overhead ``2^k`` times per itemset),
-this kernel processes a whole same-width batch at once.  The DFS over
+The array form of the pure-Python Möbius kernel: where
+``repro.core.contingency._cells_by_moebius`` walks the subset-support
+DFS once per candidate (paying Python loop overhead ``2^k`` times per
+itemset), this kernel processes a whole same-width batch at once.  The DFS over
 item masks runs exactly once; at every mask the running intersection is
 a ``(c, n_words)`` *matrix* — one row per candidate — so the AND and
 the popcount are single vectorized operations across the entire batch.
@@ -18,15 +18,13 @@ cache-resident for the levels a miner actually visits, regardless of
 how many candidates a level has.
 
 Exactness: every support is an integer popcount summed in ``int64`` and
-the inversion is integer subtraction — the same operations in the same
-order as the per-itemset kernel — so the resulting cells are
-bit-identical to ``count_cells_moebius`` and therefore to the
-pure-Python kernels (the differential backend-equivalence suite pins
+the inversion is integer subtraction, so the resulting cells are
+bit-identical to the pure-Python kernels (the differential backend-equivalence suite pins
 this down for k = 2..6 explicitly).
 
 The dense ``2^k`` table walk caps the kernel at
-:data:`BLOCKED_MAX_ITEMS` items; the dispatcher routes wider itemsets
-to the basket-major scan.
+:data:`BLOCKED_MAX_ITEMS` items; the width table in
+:mod:`repro.kernels` routes wider itemsets to the basket-major scan.
 """
 
 from __future__ import annotations
@@ -40,7 +38,8 @@ except ImportError:  # pragma: no cover - exercised in minimal installs
 
 __all__ = ["BLOCKED_MAX_ITEMS", "BLOCK_WORDS", "count_cells_blocked", "mask_supports"]
 
-# Dense-table ceiling, shared with the Möbius kernels (2^k cells per row).
+# Dense-table ceiling, shared with the pure-Python Möbius kernel (2^k
+# cells per row).
 BLOCKED_MAX_ITEMS = 12
 
 # Scratch budget in uint64 words for one chunk's live arrays (~16 MiB).

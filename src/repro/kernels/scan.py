@@ -11,8 +11,8 @@ id with vectorized shifts, and reads the sparse table off
 
 Baskets are processed in bounded chunks so the unpacked bit matrix
 never exceeds ~:data:`CHUNK_BYTES` of scratch.  Cell ids are built in
-``int64``, which caps the kernel at 63 items; the dispatcher routes
-anything wider to the pure-Python scan.
+``int64``, which caps the kernel at 63 items; the width table in
+:mod:`repro.kernels` routes anything wider to the pure-Python scan.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """The per-run telemetry bundle and its run report.
 
 :class:`Telemetry` packages one tracer and one metrics registry and
-travels with a mining run: the miner, the parallel engine, the table
-cache and the counting kernels all record into it, and the finished
+travels with a mining run: the miner, the counting backends and the
+counting kernels all record into it, and the finished
 :class:`~repro.algorithms.chi2support.MiningResult` carries it so
 callers can export traces, snapshot metrics, or render the run report
 after the fact.
@@ -10,8 +10,8 @@ after the fact.
 The **run report** is the paper's Table 5 plus where the time went: a
 per-level row of the pruning counters (``|CAND|``, discards, ``|SIG|``,
 ``|NOTSIG|``) joined with the per-level wall and counting seconds the
-tracer measured, followed by cache, kernel-dispatch, kernel-autotune
-and worker-pool rollups.  :meth:`Telemetry.reconcile` cross-checks the metric counters
+tracer measured, followed by cache, kernel-dispatch and worker-pool
+rollups.  :meth:`Telemetry.reconcile` cross-checks the metric counters
 against the miner's own ``LevelStats`` — the two are produced by
 independent code paths, so exact agreement is a strong end-to-end
 consistency check (and a hard test gate).
@@ -188,7 +188,6 @@ class Telemetry:
             },
             "cache": self.metrics.series("cache_events"),
             "kernel_dispatch": self.metrics.series("kernel_dispatch"),
-            "autotune": self.metrics.series("kernel_autotune"),
             "pool": self.metrics.series("pool_events"),
             "workers": self.metrics.series("worker_"),
         }
@@ -216,9 +215,6 @@ class Telemetry:
             lines.extend(_render_rollup("cache", self.metrics.series("cache_events")))
             lines.extend(
                 _render_rollup("kernel dispatch", self.metrics.series("kernel_dispatch"))
-            )
-            lines.extend(
-                _render_rollup("autotune", self.metrics.series("kernel_autotune"))
             )
             lines.extend(_render_rollup("pool", self.metrics.series("pool_events")))
             lines.extend(_render_rollup("workers", self.metrics.series("worker_")))

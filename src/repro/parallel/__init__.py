@@ -2,10 +2,10 @@
 
 The scaling subsystem for the counting layer: row-shard a basket
 database, count per-shard contingency cells across worker processes,
-merge by the shard-sum identity, and memoise finished tables in a
-bounded LRU cache.  :class:`ParallelCountingEngine` is the entry point;
-the chi-squared-support miner reaches it through
-``counting="parallel"``.
+and merge by the shard-sum identity.  :class:`ParallelCountingEngine`
+is the entry point; the chi-squared-support miner reaches it through
+``counting="parallel"``.  :class:`TableCache` is the streaming
+service's bounded LRU of point-query tables.
 """
 
 from repro.parallel.cache import TableCache

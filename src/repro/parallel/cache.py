@@ -1,8 +1,8 @@
 """A bounded LRU cache for contingency tables.
 
-Rule ranking, ``compare_frameworks``, and interactive CLI re-queries all
-probe the same handful of itemsets repeatedly; counting is the expensive
-part, so the engine memoises finished tables here.  The cache is a plain
+The streaming service's point queries probe the same handful of
+itemsets repeatedly; counting is the expensive part, so the service
+memoises finished tables here.  The cache is a plain
 ordered-dict LRU presented as keyed by
 :class:`~repro.core.itemsets.Itemset` but *interned* to the itemset's
 sorted id tuple internally: tuple keys compare in C, where an
@@ -12,10 +12,9 @@ common case here, since callers construct fresh ``Itemset`` objects per
 query (~1.4x on a fresh-object probe loop; see the benchmark note in
 ``docs/algorithm.md``).  Safe because ``Itemset`` equality is
 defined as tuple equality and both key and cached
-:class:`ContingencyTable` are immutable, and the engine is bound to a
-single (immutable) database, so entries never go stale within an
-engine's lifetime.  For the *appendable* database behind the streaming
-service, :meth:`TableCache.advance_generation` carries the cache across
+:class:`ContingencyTable` are immutable.  For the *appendable* database
+behind the streaming service, :meth:`TableCache.advance_generation`
+carries the cache across
 an append exactly: tables touching an appended item are invalidated,
 all others are patched in place (only their all-absent cell and total
 can have changed), so point queries keep hitting across generations.

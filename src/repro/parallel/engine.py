@@ -4,23 +4,21 @@
 :class:`~repro.data.basket.BasketDatabase` and anything that needs
 contingency tables — the chi-squared-support miner's
 ``counting="parallel"`` backend, rule ranking, interactive probes.  It
-has four moving parts:
+has three moving parts:
 
 1. **Sharding** — the database is partitioned once into contiguous row
-   shards, in one of two transports: **shared memory**
-   (:mod:`repro.parallel.shm`; the default whenever NumPy is present),
-   where the packed bitmap matrix lives in one
+   shards.  With NumPy the transport is **shared memory**
+   (:mod:`repro.parallel.shm`): the packed bitmap matrix lives in one
    ``multiprocessing.shared_memory`` segment and each shard is a
-   zero-copy word-aligned column slice workers attach to by name, or
-   **pickle** (:mod:`repro.parallel.sharding`), where each shard's
-   basket tuples ship to workers at pool-init time — the pure-Python
-   fallback.  Either way each shard counts cells on its own with the
-   kernel the ``kernel`` knob selects.
+   zero-copy word-aligned column slice workers attach to by name.
+   Without NumPy it is **pickle** (:mod:`repro.parallel.sharding`):
+   each shard's basket tuples ship to workers at pool-init time (also
+   the fallback when a segment cannot be created).  Either way each
+   shard counts cells on its own with the vectorized batch kernels.
 2. **A worker pool** — created once and reused across every
-   ``count_tables()`` call (and across successive ``mine()`` runs when
-   the engine is injected into the miner); a counting batch fans one
-   task per shard out and merges the returned sparse dicts, exploiting
-   that any cell count is a sum over shards.
+   ``count_tables()`` call of a run; a counting batch fans one task per
+   shard out and merges the returned sparse dicts, exploiting that any
+   cell count is a sum over shards.
 3. **Adaptive dispatch** — parallelism has real dispatch cost, so the
    engine only fans out when it can pay off: batches below
    ``min_parallel_batch`` run serially, as does everything when fewer
@@ -29,10 +27,6 @@ has four moving parts:
    batches toward whichever mode is measured faster (with periodic
    re-probes).  ``min_parallel_batch=0`` forces the pool path — the
    failure-injection tests rely on that.
-4. **A bounded LRU table cache** (`repro.parallel.cache`) keyed by
-   itemset, so repeated probes skip recounting entirely.  Batches
-   larger than the cache bypass it wholesale instead of churning
-   evictions.
 
 Failure semantics: a crashed worker or a task outliving ``task_timeout``
 raises :class:`CountingError` (never hangs).  With ``fallback_serial``
@@ -51,12 +45,11 @@ import os
 import time
 from collections.abc import Iterable, Sequence
 
-from repro.core.contingency import ContingencyTable, count_cells
+from repro.core.contingency import ContingencyTable
 from repro.core.itemsets import Itemset
 from repro.data.basket import BasketDatabase
-from repro.kernels.autotune import DISPATCH_MODES, KernelDispatcher
+from repro.kernels import HAS_NUMPY, count_tables_vectorized
 from repro.obs import NULL_TELEMETRY, Telemetry
-from repro.parallel.cache import TableCache
 from repro.parallel.sharding import merge_shard_counts, shard_database
 
 __all__ = ["CountingError", "DEFAULT_MIN_PARALLEL_BATCH", "ParallelCountingEngine"]
@@ -71,12 +64,6 @@ DEFAULT_MIN_PARALLEL_BATCH = 64
 # With adaptive dispatch settled on serial, retry the pool every Nth
 # batch so a transiently slow pool can win back the work.
 _REPROBE_EVERY = 8
-
-# Kernel names the engine (and both shard types) accept: the classic
-# pair plus the forced dispatcher modes of repro.kernels.autotune.
-_KERNELS = ("auto", "bitmap", "vectorized") + tuple(
-    mode for mode in DISPATCH_MODES if mode != "auto"
-)
 
 # Itemsets wider than this cannot ride the packed shared-memory shards
 # (cell ids overflow int64); such batches run serially over the database.
@@ -101,12 +88,11 @@ def _count_task(shard_index: int, candidates: Sequence[tuple[int, ...]]):
     """Count one shard's cells and ship a worker metrics snapshot back.
 
     Each task records into a fresh worker-local registry — what the
-    shard's kernels dispatched (``kernel_dispatch``), the autotuner's
-    decisions (``kernel_autotune``), and its own bookkeeping
-    (``worker_tasks``, ``worker_itemsets``) — and returns its snapshot
-    alongside the counts so the parent can fold it into the run's
-    registry (:meth:`repro.obs.MetricsRegistry.merge`).  Registries do
-    not cross process boundaries; snapshots do.
+    shard's kernels dispatched (``kernel_dispatch``) and its own
+    bookkeeping (``worker_tasks``, ``worker_itemsets``) — and returns
+    its snapshot alongside the counts so the parent can fold it into the
+    run's registry (:meth:`repro.obs.MetricsRegistry.merge`).
+    Registries do not cross process boundaries; snapshots do.
     """
     from repro.obs.metrics import MetricsRegistry
 
@@ -118,7 +104,7 @@ def _count_task(shard_index: int, candidates: Sequence[tuple[int, ...]]):
 
 
 class ParallelCountingEngine:
-    """Sharded, cached contingency-table counting over one database.
+    """Sharded contingency-table counting over one database.
 
     Parameters:
         db: the database to count over (immutable for the engine's life).
@@ -127,27 +113,12 @@ class ParallelCountingEngine:
         n_shards: row shards; defaults to ``workers`` (capped at the
             basket count).  More shards than workers smooths load
             imbalance at the cost of more merge work.
-        cache_size: LRU capacity in tables; ``0`` disables caching.
         task_timeout: seconds a single batch may take before the engine
             declares the pool poisoned; ``None`` waits forever.
         fallback_serial: on pool failure, degrade to serial counting
             instead of raising :class:`CountingError`.
         mp_context: a ``multiprocessing`` context (or start-method name)
             to use instead of the default (``fork`` where available).
-        kernel: the counting kernel each shard (and the serial path)
-            runs — ``"bitmap"`` for the pure-Python big-int kernels,
-            ``"vectorized"`` for the NumPy packed-bitmap kernels with
-            autotuned dispatch, one of ``"blocked"``/``"moebius"``/
-            ``"scan"`` to force that vectorized kernel everywhere it is
-            legal, or ``"auto"`` (default) for
-            vectorized-when-NumPy-imports.  Every kernel produces
-            bit-identical tables.
-        shared_memory: ``"auto"`` (default) ships shards as zero-copy
-            shared-memory slices whenever NumPy is present and the
-            kernel is vectorized, falling back to pickled shards
-            otherwise; ``"on"`` requires shared memory (raises without
-            NumPy); ``"off"`` always pickles.  Booleans are accepted as
-            aliases for on/off.
         min_parallel_batch: smallest batch dispatched to the pool.
             ``None`` (default) is adaptive: a built-in floor of
             ``DEFAULT_MIN_PARALLEL_BATCH`` plus measured serial-versus-
@@ -158,10 +129,9 @@ class ParallelCountingEngine:
             the engine records per-batch spans and timing histograms
             (``count_batch_seconds{mode=...}``, per-shard
             ``shard_task_seconds``), worker-pool event counters
-            (``pool_events{kind=...}``), kernel autotuner decisions
-            (``kernel_autotune{...}``), and cache counters.  Defaults
-            to the no-op bundle.  Only the parent process records —
-            worker processes run un-instrumented.
+            (``pool_events{kind=...}``), and the kernel dispatch
+            counters workers ship back with their counts.  Defaults to
+            the no-op bundle.
 
     >>> db = BasketDatabase.from_baskets([["a", "b"]] * 3 + [["a"]] * 2 + [[]] * 5)
     >>> with ParallelCountingEngine(db, workers=1) as engine:
@@ -175,12 +145,9 @@ class ParallelCountingEngine:
         db: BasketDatabase,
         workers: int | None = None,
         n_shards: int | None = None,
-        cache_size: int = 256,
         task_timeout: float | None = 120.0,
         fallback_serial: bool = True,
         mp_context=None,
-        kernel: str = "auto",
-        shared_memory: str | bool = "auto",
         min_parallel_batch: int | None = None,
         telemetry: Telemetry | None = None,
     ) -> None:
@@ -192,27 +159,16 @@ class ParallelCountingEngine:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
         if task_timeout is not None and task_timeout <= 0:
             raise ValueError(f"task_timeout must be positive, got {task_timeout}")
-        if kernel not in _KERNELS:
-            raise ValueError(f"unknown counting kernel {kernel!r}")
-        if isinstance(shared_memory, bool):
-            shared_memory = "on" if shared_memory else "off"
-        if shared_memory not in ("auto", "on", "off"):
-            raise ValueError(
-                f"shared_memory must be 'auto', 'on', or 'off', got {shared_memory!r}"
-            )
         if min_parallel_batch is not None and min_parallel_batch < 0:
             raise ValueError(
                 f"min_parallel_batch must be >= 0, got {min_parallel_batch}"
             )
         self.db = db
         self.workers = workers
-        self.kernel = kernel
-        self.shared_memory = shared_memory
         self.min_parallel_batch = min_parallel_batch
         self.task_timeout = task_timeout
         self.fallback_serial = fallback_serial
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self.cache = TableCache(cache_size, metrics=self.telemetry.metrics)
         self._mp_context = mp_context
         self._shards: list | None = None
         self._n_shards = n_shards if n_shards is not None else workers
@@ -220,22 +176,9 @@ class ParallelCountingEngine:
         self._pool_broken = False
         self._shared_index = None
         self.degraded = False
-        # The parent-side kernel dispatcher: serial batches run through
-        # it, so its cost model learns across every level of a mine.
-        # It shares the telemetry clock so learned choices are
-        # deterministic under a FakeClock.
-        self.dispatcher = KernelDispatcher(
-            mode=self._dispatch_mode(),
-            metrics=self.telemetry.metrics,
-            clock=self.telemetry.clock,
-        )
         # Measured seconds-per-itemset by mode, steering adaptive dispatch.
         self._mode_unit: dict[str, float | None] = {"serial": None, "parallel": None}
         self._settled_serial = 0
-        if shared_memory == "on" and not self._kernel_is_vectorized():
-            raise ValueError(
-                "shared_memory='on' requires NumPy and a vectorized kernel"
-            )
         # Observability counters for benchmarks and the CLI.
         self.tasks_dispatched = 0
         self.parallel_batches = 0
@@ -244,33 +187,19 @@ class ParallelCountingEngine:
 
     # -- lifecycle ------------------------------------------------------------
 
-    def _dispatch_mode(self) -> str:
-        return self.kernel if self.kernel in DISPATCH_MODES else "auto"
-
-    def _kernel_is_vectorized(self) -> bool:
-        """Whether the resolved kernel family is the NumPy one."""
-        if self.kernel == "bitmap":
-            return False
-        from repro.kernels import HAS_NUMPY
-
-        return HAS_NUMPY
-
     @property
     def shards(self) -> list:
         """The shards (built lazily, before any pool exists).
 
-        Shared-memory slices when the transport allows it, pickled row
-        shards otherwise; creation failures fall back to pickling with
-        a ``pool_events{kind="shm_unavailable"}`` counter (unless
-        ``shared_memory="on"``, which propagates the error).
+        Shared-memory slices when NumPy imports, pickled row shards
+        otherwise; a segment that cannot be created falls back to
+        pickling with a ``pool_events{kind="shm_unavailable"}`` counter.
         """
         if self._shards is None:
-            if self._use_shared_memory():
+            if HAS_NUMPY:
                 try:
                     self._shards = self._build_shared_shards()
                 except Exception as error:
-                    if self.shared_memory == "on":
-                        raise
                     logger.warning(
                         "shared-memory shards unavailable (%s); pickling shards",
                         error,
@@ -280,23 +209,14 @@ class ParallelCountingEngine:
                     ).inc()
                     self._close_shared_index()
             if self._shards is None:
-                self._shards = shard_database(
-                    self.db, self._n_shards, kernel=self.kernel
-                )
+                self._shards = shard_database(self.db, self._n_shards)
         return self._shards
-
-    def _use_shared_memory(self) -> bool:
-        if self.shared_memory == "off":
-            return False
-        return self._kernel_is_vectorized()
 
     def _build_shared_shards(self) -> list:
         from repro.parallel import shm
 
         self._shared_index = shm.SharedPackedIndex(self.db.packed_index())
-        shards = shm.shard_shared_index(
-            self._shared_index, self._n_shards, kernel=self.kernel
-        )
+        shards = shm.shard_shared_index(self._shared_index, self._n_shards)
         self.telemetry.metrics.counter("pool_events", kind="shm_created").inc()
         return shards
 
@@ -350,9 +270,8 @@ class ParallelCountingEngine:
     def close(self) -> None:
         """Shut the pool down and unlink shared memory (idempotent).
 
-        The engine stays usable after ``close()`` — the next counting
-        batch lazily rebuilds whatever it needs — so a miner borrowing
-        an injected engine can be conservative about closing.
+        The engine stays usable after ``close()``: the next counting
+        batch lazily rebuilds whatever it needs.
         """
         try:
             if self._pool is not None:
@@ -378,7 +297,7 @@ class ParallelCountingEngine:
     # -- counting -------------------------------------------------------------
 
     def table_for(self, itemset: Itemset) -> ContingencyTable:
-        """The contingency table of one itemset (cache, then count)."""
+        """The contingency table of one itemset."""
         return self.count_tables([itemset])[itemset]
 
     def count_tables(
@@ -386,35 +305,14 @@ class ParallelCountingEngine:
     ) -> dict[Itemset, ContingencyTable]:
         """Contingency tables for a batch of itemsets.
 
-        Cached tables are returned immediately; the rest are counted in
-        one sharded batch (or serially — see the class docstring for the
-        degradation rules) and inserted into the cache, unless the batch
-        exceeds the cache capacity, in which case the cache is bypassed
-        (``cache_events{kind="bypass"}``) rather than churned.  The
-        returned dict preserves first-seen input order.
+        Counted in one sharded batch, or serially — see the class
+        docstring for the degradation rules.  Duplicates are counted
+        once; the returned dict preserves first-seen input order.
         """
-        ordered: list[Itemset] = []
-        results: dict[Itemset, ContingencyTable] = {}
-        missing: list[Itemset] = []
-        for itemset in itemsets:
-            if itemset in results:
-                continue
-            ordered.append(itemset)
-            cached = self.cache.get(itemset)
-            if cached is not None:
-                results[itemset] = cached
-            else:
-                missing.append(itemset)
-
-        if missing:
-            populate = len(missing) <= self.cache.capacity
-            if not populate and self.cache.capacity > 0:
-                self.cache.note_bypass(len(missing))
-            for itemset, table in zip(missing, self._count_batch(missing)):
-                if populate:
-                    self.cache.put(itemset, table)
-                results[itemset] = table
-        return {itemset: results[itemset] for itemset in ordered}
+        ordered = list(dict.fromkeys(itemsets))
+        if not ordered:
+            return {}
+        return dict(zip(ordered, self._count_batch(ordered)))
 
     # -- internals ------------------------------------------------------------
 
@@ -436,7 +334,7 @@ class ParallelCountingEngine:
 
     def _worth_parallel(self, itemsets: Sequence[Itemset]) -> bool:
         """Whether fanning this batch out beats counting it in-process."""
-        if self._shared_index is not None or self._use_shared_memory():
+        if HAS_NUMPY:
             # Packed shards cannot count past the int64 cell-id ceiling.
             if any(len(itemset) > _MAX_PACKED_ITEMS for itemset in itemsets):
                 self.telemetry.metrics.counter(
@@ -493,21 +391,10 @@ class ParallelCountingEngine:
         """In-process counting over the full database (the reference path)."""
         self.serial_batches += 1
         self.telemetry.metrics.counter("pool_events", kind="serial_batch").inc()
-        n = self.db.n_baskets
-        if self._kernel_is_vectorized():
-            from repro.kernels import count_tables_vectorized
-
-            tables = count_tables_vectorized(
-                self.db,
-                itemsets,
-                metrics=self.telemetry.metrics,
-                dispatcher=self.dispatcher,
-            )
-            return [tables[itemset] for itemset in itemsets]
-        return [
-            ContingencyTable.from_cell_counts(itemset, count_cells(self.db, itemset), n)
-            for itemset in itemsets
-        ]
+        tables = count_tables_vectorized(
+            self.db, itemsets, metrics=self.telemetry.metrics
+        )
+        return [tables[itemset] for itemset in itemsets]
 
     def _count_parallel(self, itemsets: Sequence[Itemset]) -> list[ContingencyTable]:
         """One task per shard, merged by the shard-sum identity."""
@@ -543,7 +430,7 @@ class ParallelCountingEngine:
                     counts, worker_snapshot = result.get(timeout=remaining)
                 per_shard.append(counts)
                 # The task's worker-side counters (kernel_dispatch,
-                # kernel_autotune, worker_*) fold into the parent
+                # worker_*) fold into the parent
                 # registry here, with matching parent-side bookkeeping
                 # for Telemetry.reconcile_workers to check against.
                 metrics.merge(worker_snapshot)

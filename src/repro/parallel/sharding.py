@@ -20,32 +20,10 @@ from __future__ import annotations
 import time
 from collections.abc import Iterable, Sequence
 
-from repro.core.contingency import count_cells
 from repro.core.itemsets import Itemset, ItemVocabulary
 from repro.data.basket import BasketDatabase
 
-__all__ = ["Shard", "resolve_kernel", "shard_database", "merge_shard_counts"]
-
-
-# Kernel names a shard accepts: bitmap/vectorized plus the forced
-# dispatcher modes of repro.kernels.autotune (which imply vectorized).
-_SHARD_KERNELS = ("auto", "bitmap", "vectorized", "blocked", "moebius", "scan")
-
-
-def resolve_kernel(kernel: str) -> str:
-    """Resolve a counting-kernel name, mapping ``"auto"`` to the fastest.
-
-    ``"auto"`` means the NumPy packed-bitmap kernels when NumPy is
-    importable and the pure-Python big-int path otherwise — resolved at
-    call time, so a worker process decides on *its* environment.  The
-    forced dispatcher modes (``"blocked"``/``"moebius"``/``"scan"``)
-    resolve to themselves; they are vectorized-family kernels.
-    """
-    if kernel == "auto":
-        from repro.kernels import HAS_NUMPY
-
-        return "vectorized" if HAS_NUMPY else "bitmap"
-    return kernel
+__all__ = ["Shard", "shard_database", "merge_shard_counts"]
 
 
 class Shard:
@@ -56,14 +34,9 @@ class Shard:
     database is dropped from the pickled state so only the raw basket
     tuples travel to worker processes.
 
-    ``kernel`` selects the counting implementation the shard runs over
-    its rows: ``"bitmap"`` is the pure-Python big-int path, and
-    ``"vectorized"`` the NumPy packed-bitmap kernels of
-    :mod:`repro.kernels` — this is how the parallel and vectorized
-    backends compose, each worker sweeping its own shard in array form.
-    ``"auto"`` (the default) resolves to vectorized when NumPy imports
-    on the worker and bitmap otherwise; all three produce bit-identical
-    counts.
+    The shard counts with :func:`repro.kernels.count_cells_batch`: the
+    NumPy packed-bitmap kernels when NumPy imports on the worker, the
+    pure-Python big-int path otherwise — bit-identical either way.
 
     ``fault`` is a failure-injection hook used by the resilience tests:
     ``"crash"`` makes :meth:`count_cells` raise, ``"hang"`` makes it
@@ -71,7 +44,7 @@ class Shard:
     sets it.
     """
 
-    __slots__ = ("index", "start", "baskets", "n_items", "kernel", "fault", "_db")
+    __slots__ = ("index", "start", "baskets", "n_items", "fault", "_db")
 
     def __init__(
         self,
@@ -79,33 +52,22 @@ class Shard:
         start: int,
         baskets: Sequence[tuple[int, ...]],
         n_items: int,
-        kernel: str = "auto",
         fault: str | None = None,
     ) -> None:
-        if kernel not in _SHARD_KERNELS:
-            raise ValueError(f"unknown counting kernel {kernel!r}")
         self.index = index
         self.start = start
         self.baskets = tuple(baskets)
         self.n_items = n_items
-        self.kernel = kernel
         self.fault = fault
         self._db: BasketDatabase | None = None
 
     # -- pickling (exclude the lazily built database) -------------------------
 
     def __getstate__(self) -> tuple:
-        return (self.index, self.start, self.baskets, self.n_items, self.kernel, self.fault)
+        return (self.index, self.start, self.baskets, self.n_items, self.fault)
 
     def __setstate__(self, state: tuple) -> None:
-        (
-            self.index,
-            self.start,
-            self.baskets,
-            self.n_items,
-            self.kernel,
-            self.fault,
-        ) = state
+        self.index, self.start, self.baskets, self.n_items, self.fault = state
         self._db = None
 
     # -- counting -------------------------------------------------------------
@@ -131,27 +93,16 @@ class Shard:
         each returned dict maps cell index to the shard-local count, the
         counts of any one dict summing to :attr:`n_baskets`.  ``metrics``
         (a :class:`repro.obs.MetricsRegistry`) receives the worker-side
-        ``kernel_dispatch``/``kernel_autotune`` counters for this task.
+        ``kernel_dispatch`` counters for this task.
         """
         if self.fault == "crash":
             raise RuntimeError(f"injected crash in shard {self.index}")
         if self.fault == "hang":  # pragma: no cover - timing-dependent
             time.sleep(30.0)
-        db = self.database()
-        itemsets = [Itemset._from_sorted(items) for items in candidates]
-        resolved = resolve_kernel(self.kernel)
-        if resolved != "bitmap":
-            from repro.kernels import count_cells_batch
-            from repro.parallel.shm import _worker_dispatcher
+        from repro.kernels import count_cells_batch
 
-            mode = resolved if resolved in ("blocked", "moebius", "scan") else "auto"
-            return count_cells_batch(
-                db,
-                itemsets,
-                metrics=metrics,
-                dispatcher=_worker_dispatcher(mode, metrics=metrics),
-            )
-        return [count_cells(db, itemset) for itemset in itemsets]
+        itemsets = [Itemset._from_sorted(items) for items in candidates]
+        return count_cells_batch(self.database(), itemsets, metrics=metrics)
 
     def __repr__(self) -> str:
         return (
@@ -160,17 +111,14 @@ class Shard:
         )
 
 
-def shard_database(
-    db: BasketDatabase, n_shards: int, kernel: str = "auto"
-) -> list[Shard]:
+def shard_database(db: BasketDatabase, n_shards: int) -> list[Shard]:
     """Partition ``db`` into at most ``n_shards`` contiguous row shards.
 
     Shard sizes differ by at most one basket, shards never overlap, and
     concatenating them in index order recovers the database's row order
     exactly — the layout is a pure function of ``(n_baskets, n_shards)``
     so repeated runs shard identically.  Databases smaller than
-    ``n_shards`` get one shard per basket.  ``kernel`` is stamped on
-    every shard (see :class:`Shard`).
+    ``n_shards`` get one shard per basket.
     """
     if n_shards < 1:
         raise ValueError(f"n_shards must be >= 1, got {n_shards}")
@@ -182,9 +130,7 @@ def shard_database(
     start = 0
     for index in range(n_shards):
         size = base + (1 if index < extra else 0)
-        shards.append(
-            Shard(index, start, baskets[start : start + size], db.n_items, kernel=kernel)
-        )
+        shards.append(Shard(index, start, baskets[start : start + size], db.n_items))
         start += size
     return shards
 

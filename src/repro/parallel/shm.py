@@ -35,7 +35,6 @@ from collections.abc import Sequence
 from multiprocessing import resource_tracker, shared_memory
 from typing import NamedTuple
 
-from repro.kernels.autotune import KernelDispatcher
 from repro.kernels.packed import HAS_NUMPY, PackedBitmapIndex, popcount
 
 try:
@@ -138,27 +137,6 @@ class SharedPackedIndex:
 _ATTACHED: dict[str, shared_memory.SharedMemory] = {}
 _LOCAL_INDEXES: dict[tuple[str, int, int], PackedBitmapIndex] = {}
 
-# Per-worker kernel dispatchers, one per dispatch mode, so each worker
-# learns from its own shard timings.
-_DISPATCHERS: dict[str, KernelDispatcher] = {}
-
-
-def _worker_dispatcher(mode: str, metrics=None) -> KernelDispatcher:
-    """The worker's cached dispatcher, pointed at this task's registry.
-
-    Workers are single-threaded, so rebinding ``metrics`` per task is
-    race-free: each counting task hands in its own fresh registry (see
-    ``repro.parallel.engine._count_task``), records its autotune
-    decisions there, and ships the snapshot back with its results.  The
-    learned unit costs live on the cached dispatcher and keep
-    accumulating across tasks regardless of which registry is bound.
-    """
-    dispatcher = _DISPATCHERS.get(mode)
-    if dispatcher is None:
-        dispatcher = _DISPATCHERS[mode] = KernelDispatcher(mode=mode)
-    dispatcher.metrics = metrics
-    return dispatcher
-
 
 def _attach_untracked(name: str) -> shared_memory.SharedMemory:
     """Attach to an existing segment without registering as its owner.
@@ -213,12 +191,10 @@ class PackedShard:
     but its pickled form is just the :class:`SharedIndexSpec` plus a
     word range: attaching workers never receive basket data at all.
     Counting runs :func:`repro.kernels.count_cells_batch_packed` over
-    the shard's column slice with a worker-local dispatcher, so the
-    blocked/Möbius/scan routing happens per shard exactly as it does
-    serially.
+    the shard's column slice, so the width routing happens per shard
+    exactly as it does serially.
 
-    ``kernel`` here is a dispatch mode (``"auto"`` or a forced kernel
-    name); ``fault`` is the same failure-injection hook as on
+    ``fault`` is the same failure-injection hook as on
     :class:`Shard` so the resilience tests cover this path too.
     """
 
@@ -229,7 +205,6 @@ class PackedShard:
         "word_stop",
         "start",
         "_n_baskets",
-        "kernel",
         "fault",
         "_local",
     )
@@ -240,7 +215,6 @@ class PackedShard:
         spec: SharedIndexSpec,
         word_start: int,
         word_stop: int,
-        kernel: str = "auto",
         fault: str | None = None,
     ) -> None:
         self.index = index
@@ -251,7 +225,6 @@ class PackedShard:
         self._n_baskets = max(
             0, min(spec.n_baskets, word_stop * 64) - self.start
         )
-        self.kernel = kernel
         self.fault = fault
         self._local: PackedBitmapIndex | None = None
 
@@ -263,13 +236,11 @@ class PackedShard:
             self.spec,
             self.word_start,
             self.word_stop,
-            self.kernel,
             self.fault,
         )
 
     def __setstate__(self, state: tuple) -> None:
-        index, spec, word_start, word_stop, kernel, fault = state
-        self.__init__(index, spec, word_start, word_stop, kernel, fault)
+        self.__init__(*state)
 
     # -- counting -------------------------------------------------------------
 
@@ -292,8 +263,8 @@ class PackedShard:
         """Sparse shard-local cell counts, one dict per candidate.
 
         ``metrics`` (a :class:`repro.obs.MetricsRegistry`) receives the
-        worker-side ``kernel_dispatch``/``kernel_autotune`` counters for
-        this task; the caller ships its snapshot back to the parent.
+        worker-side ``kernel_dispatch`` counters for this task; the caller
+        ships its snapshot back to the parent.
         """
         if self.fault == "crash":
             raise RuntimeError(f"injected crash in shard {self.index}")
@@ -303,17 +274,11 @@ class PackedShard:
             time.sleep(30.0)
         from repro.kernels import count_cells_batch_packed
 
-        mode = self.kernel if self.kernel in ("blocked", "moebius", "scan") else "auto"
         record = None
         if metrics is not None:
             def record(path: str, n: int) -> None:
                 metrics.counter("kernel_dispatch", path=path).inc(n)
-        return count_cells_batch_packed(
-            self.local_index(),
-            candidates,
-            dispatcher=_worker_dispatcher(mode, metrics=metrics),
-            record=record,
-        )
+        return count_cells_batch_packed(self.local_index(), candidates, record=record)
 
     def __repr__(self) -> str:
         return (
@@ -322,9 +287,7 @@ class PackedShard:
         )
 
 
-def shard_shared_index(
-    shared: SharedPackedIndex, n_shards: int, kernel: str = "auto"
-) -> list[PackedShard]:
+def shard_shared_index(shared: SharedPackedIndex, n_shards: int) -> list[PackedShard]:
     """Partition a shared index into word-aligned column shards.
 
     Word ranges differ by at most one word, never overlap, and cover
@@ -342,8 +305,6 @@ def shard_shared_index(
     word = 0
     for index in range(n_shards):
         size = base + (1 if index < extra else 0)
-        shards.append(
-            PackedShard(index, spec, word, word + size, kernel=kernel)
-        )
+        shards.append(PackedShard(index, spec, word, word + size))
         word += size
     return shards

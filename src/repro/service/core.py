@@ -61,7 +61,6 @@ _last_trace_var: ContextVar[dict | None] = ContextVar("repro_last_trace", defaul
 # the lifetime totals stay meaningful across appends.
 _MERGED_COUNTER_PREFIXES = (
     "kernel_dispatch",
-    "kernel_autotune",
     "pool_events",
     "worker_",
 )
@@ -190,9 +189,9 @@ class MiningService:
         """Fold a mining run's kernel/worker counters into this registry.
 
         Each append mines with a fresh telemetry bundle so per-run
-        reconciliation stays exact; without this fold the worker-side
-        ``kernel_dispatch``/``kernel_autotune`` counters the parallel
-        engine merged up from its pool would never reach ``/metrics``.
+        reconciliation stays exact; without this fold the
+        ``kernel_dispatch`` counters the counting backends recorded
+        (worker-side ones included) would never reach ``/metrics``.
         Only plain work counters travel — per-run gauges and latency
         histograms stay with the run report they describe.
         """

@@ -10,6 +10,7 @@ from repro.core.contingency import ContingencyTable
 from repro.core.correlation import CorrelationTest, chi_squared
 from repro.core.itemsets import Itemset
 from repro.core.lattice import minimal_satisfying
+from repro.counting import BACKENDS
 from repro.data.basket import BasketDatabase
 from repro.measures.cellsupport import AntiSupport, CellSupport
 
@@ -137,7 +138,7 @@ class TestMinimality:
 
 class TestConfigurations:
     @pytest.mark.parametrize("backend", ["dict", "fks"])
-    @pytest.mark.parametrize("counting", ["bitmap", "single_pass", "cube"])
+    @pytest.mark.parametrize("counting", ["bitmap", "single_pass"])
     def test_backend_and_counting_equivalence(self, backend, counting):
         db = make_db_with_planted_pair(seed=9)
         result = ChiSquaredSupportMiner(
@@ -181,6 +182,13 @@ class TestConfigurations:
     def test_unknown_counting_rejected(self):
         with pytest.raises(ValueError):
             ChiSquaredSupportMiner(counting="magic")
+
+    def test_removed_cube_backend_names_the_valid_ones(self):
+        # CountDatacube stays for the random walk; it is no mining backend.
+        with pytest.raises(ValueError) as error:
+            ChiSquaredSupportMiner(counting="cube")
+        for name in BACKENDS:
+            assert name in str(error.value)
 
     def test_unknown_statistic_rejected(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,6 @@ class ChiSquaredSupportMiner:
         support=None,
         max_level=None,
         workers=None,
-        engine=None,
         telemetry=None,
     ):
         self.significance = significance

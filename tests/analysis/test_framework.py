@@ -254,7 +254,7 @@ def test_cli_default_cache_and_no_cache(tmp_path, capsys):
 def test_cli_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ("RPR001", "RPR002", "RPR003", "RPR004", "RPR005", "RPR006"):
+    for rule_id in ("RPR001", "RPR002", "RPR003", "RPR005", "RPR006", "RPR012"):
         assert rule_id in out
 
 
@@ -263,10 +263,10 @@ def test_explicit_directory_inside_excluded_subtree_is_still_linted():
     # fixture directory on the command line must not silently report
     # clean -- its files are linted as if passed explicitly.
     repo_root = Path(__file__).resolve().parents[2]
-    report = lint(paths=[FIXTURES / "rpr004_violation"], root=repo_root)
+    report = lint(paths=[FIXTURES / "rpr012_violation"], root=repo_root)
     assert not report.clean
-    assert {v.rule for v in report.violations} == {"RPR004"}
+    assert {v.rule for v in report.violations} == {"RPR012"}
 
-    clean = lint(paths=[FIXTURES / "rpr004_clean"], root=repo_root)
+    clean = lint(paths=[FIXTURES / "rpr012_clean"], root=repo_root)
     assert clean.clean
     assert clean.files_checked == 3

@@ -27,9 +27,3 @@ def test_fixture_tree_is_excluded_from_the_walk():
     # the walk saw no fixture file, or the violating ones would have fired
     fixture_prefix = "tests/analysis/fixtures"
     assert all(not v.path.startswith(fixture_prefix) for v in report.violations)
-
-
-def test_backend_literals_currently_agree():
-    """The live RPR004 cross-check: miner, CLI and suite name the same set."""
-    report = lint(root=REPO_ROOT, select=["RPR004"])
-    assert report.clean, "\n".join(v.render() for v in report.violations)

@@ -2,8 +2,8 @@
 
 Every kernel must be bit-identical to the pure-Python counting path in
 ``repro.core.contingency`` — these tests pin that down per kernel
-(sweep, Möbius, scan), across the dispatcher's width routing, under
-tiny chunk sizes, and through the NumPy-absent fallback.
+(sweep, blocked, scan), across the static width table, under tiny
+chunk sizes, and through the NumPy-absent fallback.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from repro.kernels import (  # noqa: E402
     count_cells_vectorized,
     count_tables_vectorized,
 )
-from repro.kernels.moebius import count_cells_moebius  # noqa: E402
 from repro.kernels.scan import count_cells_scan  # noqa: E402
 from repro.kernels.sweep import pair_supports  # noqa: E402
 
@@ -38,6 +37,33 @@ def random_db(seed: int, n_items: int, n_baskets: int) -> BasketDatabase:
         for _ in range(n_baskets)
     ]
     return BasketDatabase.from_id_baskets(baskets, n_items=n_items)
+
+
+class TestWidthTable:
+    """The static width table picks each width's kernel; all are exact."""
+
+    @pytest.mark.parametrize(
+        "k, kernel",
+        [(1, "unit"), (2, "gram"), (3, "gram"), (4, "blocked"),
+         (12, "blocked"), (13, "scan"), (63, "scan")],
+    )
+    def test_kernel_for_width(self, k, kernel):
+        assert kernels.kernel_for_width(k) == kernel
+        db = random_db(k, k + 2, 131)
+        rng = random.Random(200 + k)
+        group = [tuple(sorted(rng.sample(range(db.n_items), k))) for _ in range(3)]
+        routed = []
+        counted = kernels.count_cells_batch_packed(
+            db.packed_index(), group, record=lambda path, n: routed.append((path, n))
+        )
+        assert routed == [(kernel, len(group))]
+        for items, cells in zip(group, counted):
+            assert cells == count_cells(db, Itemset(items)), items
+
+    @pytest.mark.parametrize("k", [0, 64])
+    def test_widths_outside_the_table_rejected(self, k):
+        with pytest.raises(ValueError):
+            kernels.kernel_for_width(k)
 
 
 class TestBatchDispatcher:
@@ -60,7 +86,7 @@ class TestBatchDispatcher:
             Itemset([0, 1]),
             Itemset(range(14)),  # scan kernel
             Itemset([2, 5, 9]),
-            Itemset(range(8)),  # Möbius kernel
+            Itemset(range(8)),  # blocked kernel
             Itemset([7, 11]),
         ]
         batched = count_cells_batch(db, itemsets)
@@ -90,15 +116,6 @@ class TestBatchDispatcher:
 
 
 class TestIndividualKernels:
-    def test_moebius_matches_pure_python(self):
-        db = random_db(21, 12, 203)
-        index = db.packed_index()
-        for k in (1, 2, 5, 9, 12):
-            itemset = Itemset(range(k))
-            assert count_cells_moebius(index, itemset.items) == count_cells(
-                db, itemset
-            ), k
-
     def test_scan_matches_pure_python(self):
         db = random_db(22, 20, 203)
         index = db.packed_index()

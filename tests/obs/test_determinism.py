@@ -19,10 +19,11 @@ import pytest
 
 from repro.core.mining import mine_correlations
 from repro.core.report import mining_result_to_dict
+from repro.counting import BACKENDS
 from repro.data.quest import QuestParameters, generate_quest
 from repro.obs import FakeClock, Telemetry
 
-COUNTING_BACKENDS = ("bitmap", "single_pass", "cube", "vectorized", "parallel", "fptree")
+COUNTING_BACKENDS = sorted(BACKENDS)
 
 QUEST = QuestParameters(n_transactions=800, n_items=40, n_patterns=25, seed=7)
 

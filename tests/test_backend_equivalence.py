@@ -1,20 +1,16 @@
 """Differential backend-equivalence harness.
 
-The miner exposes two hash-table backends (``dict``, ``fks``) and six
-counting backends (``bitmap``, ``single_pass``, ``cube``,
-``vectorized``, ``parallel``, ``fptree``).  All twelve combinations
-implement the *same* Figure 1 algorithm, so on any database they must
-produce
-identical ``SIG`` borders, level stats, and supported-uncorrelated sets
-— and every contingency table any of them builds must match a
-brute-force ``2^m``-cell enumerator that classifies each basket into
-its presence/absence cell by definition.  The parallel engine is
-additionally probed with each of its per-shard kernels (``bitmap`` and
-NumPy ``vectorized``), pinning down the parallel x vectorized
-composition, and the forced dispatcher modes (``blocked``, ``moebius``,
-``scan``) are pinned bit-identical on probes up to ``k = 5`` and on a
-deterministic mining run that reaches levels 4-6 — the general level-k
-kernel's territory.
+The miner exposes two hash-table backends (``dict``, ``fks``) and the
+counting backends of :data:`repro.counting.BACKENDS`.  Every
+combination implements the *same* Figure 1 algorithm, so on any
+database they must produce identical ``SIG`` borders, level stats, and
+supported-uncorrelated sets — and every contingency table any of them
+builds must match a brute-force ``2^m``-cell enumerator that classifies
+each basket into its presence/absence cell by definition.  The blocked
+level-k and basket-major scan kernels are additionally pinned
+bit-identical on probes up to ``k = 5`` and on every 4-, 5- and
+6-itemset of a deterministic database whose mine reaches levels 4-6 —
+the general level-k kernels' territory.
 
 Randomised databases come from Hypothesis when it is installed and from
 a seeded pure-``random`` generator otherwise, so the harness runs in
@@ -30,13 +26,13 @@ from itertools import combinations
 import pytest
 
 from repro.algorithms.chi2support import ChiSquaredSupportMiner
-from repro.core.contingency import ContingencyTable, count_tables_single_pass
+from repro.core.contingency import ContingencyTable, count_cells, count_tables_single_pass
 from repro.core.correlation import CorrelationTest
 from repro.core.itemsets import Itemset
+from repro.counting import BACKENDS
 from repro.data.basket import BasketDatabase
-from repro.data.datacube import CountDatacube
 from repro.fptree import FPTreePairEngine
-from repro.kernels import HAS_NUMPY, KernelDispatcher, count_tables_vectorized
+from repro.kernels import HAS_NUMPY, count_tables_vectorized
 from repro.measures.cellsupport import CellSupport, level1_pair_may_have_support
 from repro.parallel import ParallelCountingEngine
 
@@ -49,7 +45,7 @@ except ImportError:  # pragma: no cover - exercised in minimal installs
     HAS_HYPOTHESIS = False
 
 TABLE_BACKENDS = ("dict", "fks")
-COUNTING_BACKENDS = ("bitmap", "single_pass", "cube", "vectorized", "parallel", "fptree")
+COUNTING_BACKENDS = tuple(BACKENDS)
 
 SIGNIFICANCE = 0.95
 SUPPORT = CellSupport(count=2, fraction=0.3)
@@ -202,42 +198,39 @@ def assert_all_backends_agree(baskets: list[list[int]], n_items: int) -> None:
     probes = sorted(set(probes))
     if not probes:
         return
-    cube = CountDatacube(db, db.vocabulary.ids())
     single = count_tables_single_pass(db, probes)
     vectorized = count_tables_vectorized(db, probes)
-    with ParallelCountingEngine(db, workers=1, n_shards=3, kernel="bitmap") as engine:
+    with ParallelCountingEngine(db, workers=1, n_shards=3) as engine:
         parallel_tables = engine.count_tables(probes)
-    # The parallel x vectorized composition: every shard runs the NumPy
-    # packed-bitmap kernels over its own rows, merged by the shard-sum
-    # identity.
-    with ParallelCountingEngine(db, workers=1, n_shards=3, kernel="vectorized") as engine:
-        composed_tables = engine.count_tables(probes)
     # The FP-tree engine derives pair tables from one ancestor-chain
     # sweep (no candidate generation) and falls back to bitmaps above
     # level 2 — both paths are probed here.
     fptree_tables = FPTreePairEngine(db).count_tables(probes)
-    # With NumPy present, force each dispatch mode so the blocked,
-    # Möbius, and scan kernels are all pinned to the same bits.
-    forced: dict[str, dict[Itemset, ContingencyTable]] = {}
-    if HAS_NUMPY:
-        for mode in ("blocked", "moebius", "scan"):
-            forced[f"vectorized[{mode}]"] = count_tables_vectorized(
-                db, probes, dispatcher=KernelDispatcher(mode=mode)
-            )
     for probe in probes:
         expected = brute_force_cells(db, probe)
         for label, table in (
             ("bitmap", ContingencyTable.from_database(db, probe)),
             ("single_pass", single[probe]),
-            ("cube", cube.table_for(probe)),
             ("vectorized", vectorized[probe]),
             ("parallel", parallel_tables[probe]),
-            ("parallel x vectorized", composed_tables[probe]),
             ("fptree", fptree_tables[probe]),
-            *((label, tables[probe]) for label, tables in forced.items()),
         ):
             assert dict(table.nonzero_counts()) == expected, (label, probe)
             assert table.n == db.n_baskets, (label, probe)
+        if HAS_NUMPY:
+            # The wide-itemset kernels, called directly at every width.
+            for label, cells in _direct_kernel_cells(db, probe):
+                assert cells == expected, (label, probe)
+
+
+def _direct_kernel_cells(db: BasketDatabase, itemset: Itemset):
+    """``(kernel, cells)`` of the blocked and scan kernels for one itemset."""
+    from repro.kernels.blocked import count_cells_blocked
+    from repro.kernels.scan import count_cells_scan
+
+    index = db.packed_index()
+    yield "blocked", count_cells_blocked(index, [itemset.items])[0]
+    yield "scan", count_cells_scan(index, itemset.items)
 
 
 # -- test entry points --------------------------------------------------------
@@ -288,87 +281,75 @@ def test_backends_agree_on_adversarial_shapes():
         assert_all_backends_agree(baskets, n_items)
 
 
-def test_deep_levels_agree_across_backends_and_kernels():
-    """All backends and forced kernels agree on a k=4..6 mining run.
+# Seven near-independent coin-flip items with a permissive support
+# threshold and a very strict significance cutoff keep NOTSIG full
+# through level 5, so a mine genuinely counts 4-, 5- and 6-itemsets —
+# the general level-k kernel territory, past the closed-form pair and
+# triple sweeps.
+DEEP_PARAMS = dict(
+    significance=0.9999999,
+    support=CellSupport(count=1, fraction=0.05),
+    max_level=6,
+)
 
-    Seven near-independent coin-flip items with a permissive support
-    threshold and a very strict significance cutoff keep NOTSIG full
-    through level 5, so the run genuinely counts 4-, 5- and 6-itemsets —
-    the general level-k kernel territory, past the closed-form pair and
-    triple sweeps.
-    """
+
+def deep_db() -> BasketDatabase:
     rng = random.Random(60697)
     baskets = [[i for i in range(7) if rng.random() < 0.5] for _ in range(120)]
-    db = BasketDatabase.from_id_baskets(baskets, n_items=7)
-    params = dict(
-        significance=0.9999999,
-        support=CellSupport(count=1, fraction=0.05),
-        max_level=6,
-    )
+    return BasketDatabase.from_id_baskets(baskets, n_items=7)
 
+
+def test_deep_levels_agree_across_backends_and_kernels():
+    """All backends agree on a k=4..6 mining run; so do the level-k kernels."""
+    db = deep_db()
     reference = _signature(
-        ChiSquaredSupportMiner(counting="bitmap", **params).mine(db)
+        ChiSquaredSupportMiner(counting="bitmap", **DEEP_PARAMS).mine(db)
     )
     levels = {stats.level for stats in reference[4] if stats.candidates}
     assert {4, 5, 6} <= levels, "the run must actually reach levels 4-6"
 
-    configs = [
-        dict(counting="single_pass"),
-        dict(counting="cube"),
-        dict(counting="fptree"),
-        dict(counting="vectorized"),
-        dict(counting="parallel"),
-        dict(counting="parallel", kernel="bitmap", shared_memory="off"),
-    ]
-    if HAS_NUMPY:
-        configs.extend(
-            dict(counting="vectorized", kernel=mode)
-            for mode in ("blocked", "moebius", "scan")
-        )
-        configs.append(dict(counting="parallel", kernel="blocked", shared_memory="on"))
-    for config in configs:
+    for counting in COUNTING_BACKENDS:
         signature = _signature(
-            ChiSquaredSupportMiner(**params, **config).mine(db)
+            ChiSquaredSupportMiner(counting=counting, **DEEP_PARAMS).mine(db)
         )
-        assert signature == reference, config
+        assert signature == reference, counting
+
+    if HAS_NUMPY:
+        for width in (4, 5, 6):
+            for items in combinations(range(7), width):
+                itemset = Itemset(items)
+                expected = count_cells(db, itemset)
+                for label, cells in _direct_kernel_cells(db, itemset):
+                    assert cells == expected, (label, itemset)
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="autotune counters need NumPy kernels")
+@pytest.mark.skipif(not HAS_NUMPY, reason="kernel routing needs NumPy kernels")
 def test_blocked_kernel_handles_deep_levels_without_fallback():
-    """Forcing ``kernel="blocked"`` counts every k >= 4 batch blocked.
+    """A vectorized mine counts every 4..6-itemset with the blocked kernel.
 
-    The autotune counters record one increment per (k, path) decision;
-    a ``path="scan"`` entry for 4 <= k <= 12 would mean the general
-    kernel fell back to per-itemset scanning.
+    The ``kernel_dispatch`` counters record which kernel counted each
+    candidate; a ``scan`` or ``fallback`` entry would mean a level-k
+    batch left the blocked kernel.
     """
     from repro.obs import Telemetry
 
-    rng = random.Random(60697)
-    baskets = [[i for i in range(7) if rng.random() < 0.5] for _ in range(120)]
-    db = BasketDatabase.from_id_baskets(baskets, n_items=7)
     telemetry = Telemetry.create()
-    ChiSquaredSupportMiner(
-        significance=0.9999999,
-        support=CellSupport(count=1, fraction=0.05),
-        max_level=6,
-        counting="vectorized",
-        kernel="blocked",
-        telemetry=telemetry,
-    ).mine(db)
-    decisions = telemetry.metrics.series("kernel_autotune")
-    assert decisions, "forced-blocked mining must record autotune decisions"
-    deep = [key for key in decisions if any(f'k="{k}"' in key for k in (4, 5, 6))]
-    assert deep, "levels 4-6 must pass through the dispatcher"
-    assert all('path="blocked"' in key for key in deep), deep
+    result = ChiSquaredSupportMiner(
+        counting="vectorized", telemetry=telemetry, **DEEP_PARAMS
+    ).mine(deep_db())
+    deep = sum(stats.candidates for stats in result.level_stats if stats.level >= 4)
+    assert deep, "the run must reach levels 4-6"
+    dispatch = telemetry.metrics.series("kernel_dispatch")
+    assert dispatch['kernel_dispatch{path="blocked"}'] == deep
+    assert not any('"scan"' in key or '"fallback"' in key for key in dispatch), dispatch
 
 
 @pytest.mark.slow
 def test_backends_agree_with_real_worker_pool():
     """The multi-process path (workers=4) agrees with every serial backend.
 
-    ``counting="parallel"`` defaults to ``kernel="auto"``, so with NumPy
-    installed this also exercises the parallel x vectorized composition
-    across real worker processes.
+    With NumPy installed the shards are shared-memory slices counted by
+    the vectorized kernels, across real worker processes.
     """
     rng = random.Random(1997)
     baskets = random_baskets(rng, 8, 400)

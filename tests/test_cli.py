@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
+from repro.counting import BACKENDS
 from repro.data.basket import BasketDatabase
 from repro.data.io import write_named_baskets, write_numeric_baskets
 
@@ -53,7 +54,7 @@ class TestMineCommand:
         assert any(rule["items"] == ["bread", "butter"] for rule in payload["rules"])
 
     def test_parallel_backend_matches_default(self, basket_file, capsys):
-        """--counting parallel --workers/--cache-size mine the same rules."""
+        """--counting parallel --workers mines the same rules."""
         base_args = [
             "mine", "--input", basket_file,
             "--support-count", "5", "--support-fraction", "0.3", "--json",
@@ -63,7 +64,7 @@ class TestMineCommand:
         assert (
             main(
                 base_args
-                + ["--counting", "parallel", "--workers", "1", "--cache-size", "64"]
+                + ["--counting", "parallel", "--workers", "1"]
             )
             == 0
         )
@@ -112,6 +113,21 @@ class TestMineCommand:
     def test_bad_parameters(self, basket_file, capsys):
         code = main(["mine", "--input", basket_file, "--support-fraction", "1.5"])
         assert code == 1
+
+
+def _subcommand_choices(command: str, flag: str) -> list[str]:
+    parser = build_parser()
+    subparsers = next(
+        action for action in parser._actions if action.dest == "command"
+    )
+    sub = subparsers.choices[command]
+    return next(action for action in sub._actions if flag in action.option_strings).choices
+
+
+@pytest.mark.parametrize("command", ["mine", "serve"])
+def test_counting_choices_are_the_registry(command):
+    """Both commands offer exactly the registered counting backends."""
+    assert _subcommand_choices(command, "--counting") == sorted(BACKENDS)
 
 
 class TestTelemetryFlags:

@@ -324,23 +324,21 @@ class TestSharedMemoryCleanup:
             self._assert_unlinked(name)
 
     def test_shared_and_pickled_counts_identical(self):
-        from repro.parallel import ParallelCountingEngine
+        """The pooled shared-memory engine and pickled row shards agree."""
+        from repro.parallel import ParallelCountingEngine, merge_shard_counts, shard_database
 
-        pytest.importorskip("numpy")
         db = self._db()
         targets = [Itemset([0, 1]), Itemset([0, 1, 2]), Itemset([2])]
-        with ParallelCountingEngine(
-            db, workers=2, shared_memory="on", min_parallel_batch=0
-        ) as shared_engine:
-            shared = shared_engine.count_tables(targets)
-        with ParallelCountingEngine(
-            db, workers=2, shared_memory="off", min_parallel_batch=0
-        ) as pickled_engine:
-            pickled = pickled_engine.count_tables(targets)
-        for itemset in targets:
-            assert dict(shared[itemset].nonzero_counts()) == dict(
-                pickled[itemset].nonzero_counts()
-            )
+        with ParallelCountingEngine(db, workers=2, min_parallel_batch=0) as engine:
+            self._segment_name(engine)
+            shared = engine.count_tables(targets)
+            assert engine.parallel_batches == 1
+        pickled = merge_shard_counts(
+            shard.count_cells([itemset.items for itemset in targets])
+            for shard in shard_database(db, 2)
+        )
+        for itemset, cells in zip(targets, pickled):
+            assert dict(shared[itemset].nonzero_counts()) == cells
 
 
 class TestTelemetryOnErrorPaths:
@@ -404,12 +402,12 @@ class TestTelemetryOnErrorPaths:
         }
 
     def test_backend_raising_mid_level_closes_spans_and_metrics(self, monkeypatch):
-        import repro.algorithms.chi2support as chi2support_module
+        import repro.counting as counting_module
 
         clean_miner, clean_telemetry = self._miner("single_pass")
         clean_miner.mine(self._db())
 
-        real = chi2support_module.count_tables_single_pass
+        real = counting_module.count_tables_single_pass
         calls = {"n": 0}
 
         def explode_on_second_level(db, candidates):
@@ -419,7 +417,7 @@ class TestTelemetryOnErrorPaths:
             return real(db, candidates)
 
         monkeypatch.setattr(
-            chi2support_module, "count_tables_single_pass", explode_on_second_level
+            counting_module, "count_tables_single_pass", explode_on_second_level
         )
         miner, telemetry = self._miner("single_pass")
         with pytest.raises(RuntimeError, match="injected counting failure"):

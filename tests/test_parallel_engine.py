@@ -255,40 +255,6 @@ class TestEngine:
             tables = engine.count_tables([Itemset([0, 1])] * 3)
             assert list(tables) == [Itemset([0, 1])]
 
-    def test_repeated_probes_hit_the_cache(self):
-        db = _random_db(9)
-        with ParallelCountingEngine(db, workers=1, cache_size=8) as engine:
-            first = engine.table_for(Itemset([0, 1]))
-            batches_after_first = engine.serial_batches
-            second = engine.table_for(Itemset([0, 1]))
-            assert second is first  # memoised object, no recount
-            assert engine.serial_batches == batches_after_first
-            assert engine.cache.hits == 1
-
-    def test_cache_bounded_by_capacity(self):
-        db = _random_db(10)
-        probes = [Itemset([a, b]) for a in range(6) for b in range(a + 1, 6)]
-        with ParallelCountingEngine(db, workers=1, cache_size=4) as engine:
-            # Feed sub-capacity batches so every table is offered to the
-            # cache; the LRU bound still holds across batches.
-            for start in range(0, len(probes), 3):
-                engine.count_tables(probes[start : start + 3])
-            assert len(engine.cache) == 4
-            assert engine.cache.evictions == len(probes) - 4
-            assert engine.cache.bypasses == 0
-
-    def test_oversized_batch_bypasses_cache(self):
-        db = _random_db(10)
-        probes = [Itemset([a, b]) for a in range(6) for b in range(a + 1, 6)]
-        with ParallelCountingEngine(db, workers=1, cache_size=4) as engine:
-            tables = engine.count_tables(probes)
-            assert len(tables) == len(probes)
-            # The batch outsizes the cache: nothing cached, no evictions,
-            # the whole batch recorded as bypassed.
-            assert len(engine.cache) == 0
-            assert engine.cache.evictions == 0
-            assert engine.cache.bypasses == len(probes)
-
     def test_invalid_parameters(self):
         db = _random_db(11)
         with pytest.raises(ValueError):

@@ -114,21 +114,6 @@ class TestSharding:
                 c: n for c, n in expected.items() if n
             }
 
-    def test_forced_kernel_shards_agree(self):
-        db = random_db(8)
-        wire = [(0, 1, 2, 3), (2, 3, 4, 5)]
-        with SharedPackedIndex(db.packed_index()) as shared:
-            reference = None
-            for kernel in ("auto", "blocked", "moebius", "scan"):
-                shards = shard_shared_index(shared, 2, kernel=kernel)
-                merged = merge_shard_counts(
-                    [shard.count_cells(wire) for shard in shards]
-                )
-                if reference is None:
-                    reference = merged
-                else:
-                    assert merged == reference, kernel
-
 
 class TestPackedShardWireFormat:
     def test_pickle_carries_only_the_spec_and_range(self):

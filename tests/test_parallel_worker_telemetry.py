@@ -79,16 +79,17 @@ class TestEngineMerge:
 
 class TestMinerMerge:
     def _mine(self, db, telemetry):
+        # The miner's private backend hook: the run counts through the
+        # forced-pool engine instead of opening an adaptive one.
         engine = _pooled_engine(db, telemetry)
         try:
             miner = ChiSquaredSupportMiner(
                 significance=0.95,
                 support=CellSupport(count=2, fraction=0.3),
                 counting="parallel",
-                engine=engine,
                 telemetry=telemetry,
             )
-            return miner.mine(db)
+            return miner._mine(db, engine)
         finally:
             engine.close()
 
