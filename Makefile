@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast test-all lint lint-strict lint-json lint-sarif bench bench-counting bench-mine bench-mine-smoke examples service-smoke docs-check all
+.PHONY: install test test-fast test-all lint lint-strict lint-json lint-sarif bench bench-counting bench-mine bench-mine-smoke bench-paper examples service-smoke docs-check all
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -58,7 +58,14 @@ bench-mine:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) benchmarks/bench_mine.py --output BENCH_mine.json
 
 bench-mine-smoke:
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) benchmarks/bench_mine.py --smoke --overhead-gate --output BENCH_mine_smoke.json
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) benchmarks/bench_mine.py --smoke --output BENCH_mine_smoke.json
+
+# The paper's examples and Tables 1-5 checked against the published
+# numbers (Table 2's 44/45 decisions, Table 5's pruning counts),
+# untimed: the CI gate on the paper reproduction.  Needs NumPy and
+# pytest-benchmark.
+bench-paper:
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest -q benchmarks/bench_examples.py benchmarks/bench_table[1-5]_*.py --benchmark-disable
 
 examples:
 	$(PYTHON) examples/quickstart.py

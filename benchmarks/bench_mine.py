@@ -88,11 +88,6 @@ SMOKE_TOPK_DOCUMENTS = 120
 TOPK_K = 10
 TOPK_MIN_COOCCURRENCE = 5
 
-# The live-telemetry path (spans + counters + histograms recording on
-# every level) may cost at most this multiple of a NULL_TELEMETRY run.
-OVERHEAD_BUDGET_RATIO = 1.10
-
-
 def host_info() -> dict:
     """The machine the report was measured on."""
     return {
@@ -204,42 +199,6 @@ def _bench_topk(smoke: bool) -> dict:
     }
 
 
-def _bench_telemetry_overhead(smoke: bool) -> dict:
-    """Live telemetry versus ``NULL_TELEMETRY`` on the Quest workload.
-
-    The observability layer claims near-zero cost when disabled and
-    bounded cost when live; this measures the live side end to end —
-    spans, counters, and per-level histograms all recording — against
-    the null bundle on the same database, best of three runs each.
-    """
-    from repro.obs import Telemetry
-
-    quest_params = SMOKE_QUEST_PARAMS if smoke else QUEST_PARAMS
-    db = generate_quest(QuestParameters(**quest_params))
-    kwargs = _mine_args("quest")
-
-    def best_of(n: int, factory) -> float:
-        best = float("inf")
-        for _ in range(n):
-            telemetry = factory()
-            start = time.perf_counter()
-            mine_correlations(
-                db, significance=0.95, counting="bitmap", telemetry=telemetry, **kwargs
-            )
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    null_s = best_of(3, lambda: None)
-    live_s = best_of(3, Telemetry.create)
-    return {
-        "workload": "quest/bitmap",
-        "null_s": round(null_s, 6),
-        "live_s": round(live_s, 6),
-        "ratio": round(live_s / null_s, 4) if null_s else None,
-        "budget_ratio": OVERHEAD_BUDGET_RATIO,
-    }
-
-
 def run_benchmark(smoke: bool = False) -> dict:
     return {
         "benchmark": "end-to-end mine wall-time across counting backends",
@@ -298,19 +257,8 @@ def main(argv=None) -> int:
         action="store_true",
         help="seconds-long CI variant: tiny Quest, no census, small corpus",
     )
-    parser.add_argument(
-        "--overhead-gate",
-        action="store_true",
-        help=(
-            "telemetry regression gate: mine quest with live telemetry and "
-            "with NULL_TELEMETRY and fail if the live run exceeds "
-            f"{OVERHEAD_BUDGET_RATIO:.0%} of the null run's wall-time"
-        ),
-    )
     args = parser.parse_args(argv)
     results = run_benchmark(smoke=args.smoke)
-    if args.overhead_gate:
-        results["telemetry_overhead"] = _bench_telemetry_overhead(smoke=args.smoke)
     _print_report(results)
     with open(args.output, "w") as handle:
         json.dump(results, handle, indent=2)
@@ -336,21 +284,6 @@ def main(argv=None) -> int:
             f"border gate OK on {name}: {len(BACKENDS)} backends agree; "
             f"parallel/bitmap {data['relative_to_bitmap']['parallel']:.2f}x "
             "in this run"
-        )
-    if args.overhead_gate:
-        overhead = results["telemetry_overhead"]
-        if overhead["ratio"] > overhead["budget_ratio"]:
-            print(
-                f"FAIL: live telemetry cost {overhead['ratio']:.2f}x the null "
-                f"run ({overhead['live_s']:.3f}s vs {overhead['null_s']:.3f}s); "
-                f"budget is {overhead['budget_ratio']:.2f}x",
-                file=sys.stderr,
-            )
-            return 1
-        print(
-            f"telemetry overhead gate OK: live {overhead['live_s']:.3f}s is "
-            f"{overhead['ratio']:.2f}x null {overhead['null_s']:.3f}s "
-            f"(budget {overhead['budget_ratio']:.2f}x)"
         )
     return 0
 

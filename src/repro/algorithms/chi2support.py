@@ -228,10 +228,10 @@ class ChiSquaredSupportMiner:
         """Step 3: item pairs surviving the level-1 pruning."""
         n = db.n_baskets
         counts = db.item_counts()
-        items = list(db.vocabulary.ids())
+        k = db.n_items
         candidates: list[Itemset] = []
-        for a_index, a in enumerate(items):
-            for b in items[a_index + 1:]:
+        for a in range(k):
+            for b in range(a + 1, k):
                 if self.level1_pruning and not level1_pair_may_have_support(
                     counts[a], counts[b], n, self.support
                 ):

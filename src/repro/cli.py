@@ -206,16 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--support-fraction", type=float, default=0.26, help="cell fraction p")
     serve.add_argument("--max-level", type=int, default=None)
     serve.add_argument(
-        "--counting",
-        choices=sorted(BACKENDS),
-        default="bitmap",
-        help="table-counting backend for incremental re-mines",
-    )
-    serve.add_argument("--workers", type=int, default=None)
-    serve.add_argument(
-        "--cache-size", type=int, default=256, help="point-query table cache capacity"
-    )
-    serve.add_argument(
         "--backfill",
         metavar="FILE",
         default=None,
@@ -486,9 +476,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         support_count=args.support_count,
         support_fraction=args.support_fraction,
         max_level=args.max_level,
-        counting=args.counting,
-        workers=args.workers,
-        cache_size=args.cache_size,
         telemetry=telemetry,
     )
     if args.backfill:
@@ -507,7 +494,7 @@ def _command_serve(args: argparse.Namespace) -> int:
         flight_dump_path=args.flight_dump or None,
     )
     host, port = server.server_address[:2]
-    print(f"serving on http://{host}:{port} (counting={args.counting}; ctrl-c to stop)")
+    print(f"serving on http://{host}:{port} (ctrl-c to stop)")
     try:
         server.serve_forever()
     except KeyboardInterrupt:

@@ -16,7 +16,6 @@ suite in ``tests/service`` asserts exactly that).
 
 from __future__ import annotations
 
-import gc
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -168,21 +167,6 @@ def compare_frameworks(
 # -- incremental mining --------------------------------------------------------
 
 
-class _PendingVocabulary:
-    """The vocabulary surface of a database mid-append: just the id range."""
-
-    __slots__ = ("_n_items",)
-
-    def __init__(self, n_items: int) -> None:
-        self._n_items = n_items
-
-    def __len__(self) -> int:
-        return self._n_items
-
-    def ids(self) -> range:
-        return range(self._n_items)
-
-
 class _PendingView:
     """What the accumulated database *will* look like after the commit.
 
@@ -195,12 +179,11 @@ class _PendingView:
     untouched and queryable.
     """
 
-    __slots__ = ("n_baskets", "n_items", "vocabulary", "_item_counts")
+    __slots__ = ("n_baskets", "n_items", "_item_counts")
 
     def __init__(self, n_baskets: int, n_items: int, item_counts: tuple[int, ...]) -> None:
         self.n_baskets = n_baskets
         self.n_items = n_items
-        self.vocabulary = _PendingVocabulary(n_items)
         self._item_counts = item_counts
 
     def item_counts(self) -> tuple[int, ...]:
@@ -225,11 +208,13 @@ class _IncrementalTableEngine:
     * never-before-seen candidates are counted over the full accumulated
       base database once, then join the cache.
 
-    All cells are exact integers and the merged table goes through
-    :meth:`ContingencyTable.from_cell_counts` — the same canonical-order
-    marginal derivation every batch backend uses — so the tables, and
-    therefore every decision made on them, are bit-identical to a cold
-    batch mine.
+    Both counts go through :func:`~repro.core.contingency.count_cells`
+    on the databases' bitmaps; no registry backend runs inside an
+    append.  All cells are exact integers and the merged table goes
+    through :meth:`ContingencyTable.from_cell_counts` — the same
+    canonical-order marginal derivation every batch backend uses — so
+    the tables, and therefore every decision made on them, are
+    bit-identical to a cold batch mine on any backend.
     """
 
     def __init__(
@@ -238,17 +223,11 @@ class _IncrementalTableEngine:
         base_db: BasketDatabase | None,
         delta_db: BasketDatabase,
         cached_cells: dict[Itemset, dict[int, int]],
-        backend: str,
-        workers: int | None,
-        telemetry: "Telemetry | None" = None,
     ) -> None:
         self.db = view
         self._base_db = base_db
         self._delta_db = delta_db
         self._cached = cached_cells
-        self._backend = backend
-        self._workers = workers
-        self._telemetry = telemetry
         self.new_cells: dict[Itemset, dict[int, int]] = {}
         self.served = 0
         self.recounted = 0
@@ -256,32 +235,8 @@ class _IncrementalTableEngine:
     def _count(
         self, db: BasketDatabase, itemsets: Sequence[Itemset]
     ) -> dict[Itemset, dict[int, int]]:
-        """Count cells with the configured backend (all are bit-identical)."""
-        if not itemsets:
-            return {}
-        from repro.counting import open_backend
-
-        # Share the append's telemetry bundle so the backend's counters
-        # (kernel dispatch, pool events) land in this run's registry.
-        backend = open_backend(
-            self._backend, db, workers=self._workers, telemetry=self._telemetry
-        )
-        # Only the cells outlive this call, but a whole level of tables is
-        # alive at once; with the cyclic collector running, they get
-        # promoted and tip a full collection into the append (measured at
-        # 27-48 ms per append on perfsuite's text-wide and quest-levels).
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
-            tables = backend.count_tables(itemsets)
-            # Every backend counts exact Python ints, and the merge below
-            # only reads these cells (it copies before adding), so they
-            # are shared.
-            return {itemset: table.nonzero_counts() for itemset, table in tables.items()}
-        finally:
-            backend.close()
-            if collecting:
-                gc.enable()
+        """Exact sparse cells of each itemset over ``db``."""
+        return {itemset: count_cells(db, itemset) for itemset in itemsets}
 
     def count_tables(self, candidates: Sequence[Itemset]) -> dict[Itemset, ContingencyTable]:
         fresh = [c for c in candidates if c not in self._cached]
@@ -304,10 +259,7 @@ class _IncrementalTableEngine:
                     continue
                 old_items = tuple(i for i in candidate.items if i < base_items)
                 if old_items:
-                    sub_cells = count_cells(self._base_db, Itemset(old_items))
-                    base_fresh[candidate] = {
-                        int(c): int(v) for c, v in sub_cells.items()
-                    }
+                    base_fresh[candidate] = count_cells(self._base_db, Itemset(old_items))
                 else:
                     base_fresh[candidate] = {0: base_n}
         n = self.db.n_baskets
@@ -360,14 +312,14 @@ class IncrementalMiner:
     Each :meth:`append` stages the delta, re-runs the Figure 1 decision
     cascade against a *pending view* of the grown database (serving
     tables incrementally — see :class:`_IncrementalTableEngine`), and
-    only then commits the mutation.  A backend failure mid-append
+    only then commits the mutation.  A counting failure mid-append
     therefore leaves the previous generation fully intact and
     queryable.
 
     The maintained invariant, enforced by the differential property
     suite: after every append, :attr:`result` is bit-identical to
     ``mine_correlations`` run cold on the accumulated database with the
-    same parameters and backend.
+    same parameters, whichever batch counting backend that run uses.
 
     >>> miner = IncrementalMiner(support_count=2, support_fraction=0.3)
     >>> outcome = miner.append([["tea", "coffee"]] * 45 + [["tea"]] * 5
@@ -384,19 +336,12 @@ class IncrementalMiner:
         support_count: float = 1,
         support_fraction: float = 0.26,
         max_level: int | None = None,
-        counting: str = "bitmap",
-        workers: int | None = None,
         db: AppendableBasketDatabase | None = None,
         telemetry_factory: "Callable[[], Telemetry] | None" = None,
     ) -> None:
-        from repro.counting import check_backend
-
-        check_backend(counting)
         self.significance = significance
         self.support = CellSupport(count=support_count, fraction=support_fraction)
         self.max_level = max_level
-        self.counting = counting
-        self.workers = workers
         self.db = db if db is not None else AppendableBasketDatabase.empty()
         self._telemetry_factory = telemetry_factory
         self._cells: dict[Itemset, dict[int, int]] = {}
@@ -472,15 +417,11 @@ class IncrementalMiner:
             for item in basket:
                 counts[item] += 1
         view = _PendingView(new_n, new_k, tuple(counts))
-        telemetry = self._telemetry()
         engine = _IncrementalTableEngine(
             view,
             self.db if self.db.n_baskets else None,
             self._delta_database(staged),
             self._cells,
-            self.counting,
-            self.workers,
-            telemetry=telemetry,
         )
         from repro.algorithms.chi2support import ChiSquaredSupportMiner
 
@@ -488,8 +429,7 @@ class IncrementalMiner:
             significance=self.significance,
             support=self.support,
             max_level=self.max_level,
-            counting=self.counting,
-            telemetry=telemetry,
+            telemetry=self._telemetry(),
         )
         result = miner._mine(view, engine)  # type: ignore[arg-type]
 

@@ -7,8 +7,10 @@ level — and the repository adds three more.  Each is a
 :class:`CountingBackend`: ``count_tables(candidates)`` returns one
 table per candidate, ``close()`` releases whatever the backend holds
 (a worker pool, a shared-memory segment).  :data:`BACKENDS` maps every
-backend name to its factory; the miners, the CLI and the tests all
-read their backend list from it.
+backend name to its factory; the batch miner, the CLI and the tests
+all read their backend list from it.  The incremental miner counts
+through none of them: an append sums exact cells from
+:func:`~repro.core.contingency.count_cells`.
 
 * ``bitmap`` — per-candidate bitmap intersection plus Möbius inversion
   (:meth:`ContingencyTable.from_database`);

@@ -3,9 +3,10 @@
 The streaming service's storage layer.  A :class:`BasketDatabase` is
 immutable by contract; :class:`AppendableBasketDatabase` relaxes that in
 exactly one direction — baskets and items may be *added*, never changed
-or removed — and keeps every derived structure (per-item bitmaps,
-counts, the packed NumPy index) consistent incrementally instead of
-rebuilding it.
+or removed — and keeps its per-item bitmaps and counts consistent
+incrementally instead of rebuilding them.  A packed NumPy index built
+before an append is dropped by the commit; :meth:`packed_index` packs
+the grown database again on its next call.
 
 Appends are two-phase so a failure can never corrupt the database:
 
@@ -16,8 +17,8 @@ Appends are two-phase so a failure can never corrupt the database:
    staged append commits to the same encoding a from-scratch build of
    the grown database produces.
 2. :meth:`commit` applies a staged append: vocabulary additions, bitmap
-   bit-sets, count bumps, packed-index growth, and the basket list
-   extension, then bumps :attr:`generation`.  Commit performs no
+   bit-sets, count bumps, the basket list extension, and dropping any
+   packed index, then bumps :attr:`generation`.  Commit performs no
    fallible computation — every error is raised during staging (or by
    whatever validation the caller runs between the phases), while the
    database is still untouched.
@@ -190,8 +191,7 @@ class AppendableBasketDatabase(BasketDatabase):
                 for item in basket:
                     self._bitmaps[item] |= mask
                     self._item_counts[item] += 1
-        if self._packed is not None:
-            self._packed.append(staged.baskets, n_items=staged.new_k)
+        self._packed = None
         self._baskets.extend(staged.baskets)
         self._generation += 1
         return self._generation

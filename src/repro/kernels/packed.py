@@ -64,16 +64,6 @@ else:  # pragma: no cover - exercised in minimal installs
 class PackedBitmapIndex:
     """The vertical database as a dense ``(n_items, n_words)`` uint64 array.
 
-    The index is *appendable*: :meth:`append` adds baskets (and new item
-    rows) in place, growing the backing storage by amortised doubling in
-    both dimensions so a stream of appends costs linear total work.
-    ``packed`` and ``counts`` are always views sliced to the exact live
-    shape, so every kernel keeps seeing a ``(n_items, ceil(n/64))``
-    matrix whose padding bits past ``n_baskets`` are zero — the
-    invariant the popcount kernels rely on.  ``generation`` counts the
-    appends applied; consumers holding derived state (caches, top-K
-    engines) key their invalidation on it.
-
     Attributes:
         packed: the bitmap matrix; row ``i`` is item ``i``'s bitmap.
         counts: per-item basket counts, ``int64``, equal to
@@ -81,31 +71,15 @@ class PackedBitmapIndex:
         n_baskets: number of baskets (bits in use per row).
         n_words: ``ceil(n_baskets / 64)``, at least 1 so shapes stay
             valid on an empty database.
-        generation: number of :meth:`append` calls applied so far.
     """
 
-    __slots__ = (
-        "packed",
-        "counts",
-        "n_baskets",
-        "n_words",
-        "generation",
-        "_storage",
-        "_counts_storage",
-    )
+    __slots__ = ("packed", "counts", "n_baskets", "n_words")
 
     def __init__(self, packed, counts, n_baskets: int) -> None:
         self.packed = packed
         self.counts = counts
         self.n_baskets = n_baskets
         self.n_words = packed.shape[1]
-        self.generation = 0
-        # Capacity arrays backing the exact-shape views above.  At
-        # construction capacity equals the live shape; append() grows
-        # them geometrically (and reallocates read-only frombuffer
-        # storage on the first growth).
-        self._storage = packed
-        self._counts_storage = counts
 
     @classmethod
     def from_database(cls, db: "BasketDatabase") -> "PackedBitmapIndex":
@@ -131,80 +105,6 @@ class PackedBitmapIndex:
         packed = packed.reshape(n_items, n_words)
         counts = np.asarray(db.item_counts(), dtype=np.int64).reshape(n_items)
         return cls(packed, counts, n)
-
-    # -- in-place growth ------------------------------------------------------
-
-    def _grow(self, need_items: int, need_words: int) -> None:
-        """Ensure writable backing storage of at least the given shape.
-
-        Growth doubles the exhausted dimension (amortised O(1) per
-        appended basket/item); the fresh region is zero, which is
-        exactly the padding invariant the kernels need.  Storage built
-        by :meth:`from_database` sits on a read-only ``frombuffer``
-        view, so the first append always reallocates.
-        """
-        cap_items, cap_words = self._storage.shape
-        if (
-            self._storage.flags.writeable
-            and need_items <= cap_items
-            and need_words <= cap_words
-        ):
-            return
-        new_items = max(need_items, cap_items, 1)
-        if need_items > cap_items:
-            new_items = max(need_items, 2 * cap_items)
-        new_words = max(need_words, cap_words, 1)
-        if need_words > cap_words:
-            new_words = max(need_words, 2 * cap_words)
-        storage = np.zeros((new_items, new_words), dtype=np.uint64)
-        live = self.packed
-        storage[: live.shape[0], : live.shape[1]] = live
-        self._storage = storage
-        counts_storage = np.zeros(new_items, dtype=np.int64)
-        counts_storage[: self.counts.shape[0]] = self.counts
-        self._counts_storage = counts_storage
-
-    def append(self, baskets, n_items: int | None = None) -> int:
-        """Add encoded baskets in place; returns the new generation.
-
-        ``baskets`` is a sequence of item-id tuples (the horizontal
-        encoding a :class:`~repro.data.basket.BasketDatabase` stores);
-        ``n_items`` is the item count *after* the append, covering any
-        new items the baskets introduce (new rows start all-zero).  Bits
-        are set at the appended basket positions only, so the updated
-        rows are bit-identical to a from-scratch packing of the grown
-        database — the append-equivalence tests assert exactly that.
-        """
-        old_items = self.packed.shape[0]
-        if n_items is None:
-            n_items = old_items
-            for basket in baskets:
-                for item in basket:
-                    if item >= n_items:
-                        n_items = item + 1
-        if n_items < old_items:
-            raise ValueError(
-                f"n_items={n_items} cannot shrink the index below {old_items} rows"
-            )
-        new_n = self.n_baskets + len(baskets)
-        need_words = max(1, (new_n + 63) // 64)
-        self._grow(n_items, need_words)
-        storage = self._storage
-        counts = self._counts_storage
-        base = self.n_baskets
-        for offset, basket in enumerate(baskets):
-            position = base + offset
-            word = position >> 6
-            mask = np.uint64(1 << (position & 63))
-            for item in basket:
-                storage[item, word] |= mask
-                counts[item] += 1
-        self.n_baskets = new_n
-        self.n_words = need_words
-        self.packed = storage[:n_items, :need_words]
-        self.counts = counts[:n_items]
-        self.generation += 1
-        return self.generation
 
     def rows(self, items):
         """The bitmap rows of the given item ids, as a ``(k, n_words)`` view."""

@@ -20,11 +20,11 @@ all others are patched in place (only their all-absent cell and total
 can have changed), so point queries keep hitting across generations.
 
 The cache is fully observable: :attr:`hits`, :attr:`misses`,
-:attr:`evictions` and :attr:`bypasses` are read-only counters,
-:meth:`stats` snapshots them as a dict, and an optional metrics registry
-(:mod:`repro.obs.metrics`) receives one
-``cache_events{kind="hit"|"miss"|"evict"|"bypass"}`` increment per event
-so cache behaviour shows up in mining run reports.
+:attr:`evictions`, :attr:`invalidations` and :attr:`refreshes` are
+read-only counters, :meth:`stats` snapshots them as a dict, and an
+optional metrics registry (:mod:`repro.obs.metrics`) receives one
+``cache_events{kind="hit"|"miss"|"evict"|"invalidate"|"refresh"}``
+increment per event so cache behaviour shows up in mining run reports.
 """
 
 from __future__ import annotations
@@ -68,7 +68,6 @@ class TableCache:
         "_hits",
         "_misses",
         "_evictions",
-        "_bypasses",
         "_invalidations",
         "_refreshes",
         "_generation",
@@ -85,7 +84,6 @@ class TableCache:
         self._hits = 0
         self._misses = 0
         self._evictions = 0
-        self._bypasses = 0
         self._invalidations = 0
         self._refreshes = 0
         self._generation = 0
@@ -96,7 +94,6 @@ class TableCache:
             "hit": metrics.counter("cache_events", kind="hit"),
             "miss": metrics.counter("cache_events", kind="miss"),
             "evict": metrics.counter("cache_events", kind="evict"),
-            "bypass": metrics.counter("cache_events", kind="bypass"),
             "invalidate": metrics.counter("cache_events", kind="invalidate"),
             "refresh": metrics.counter("cache_events", kind="refresh"),
         }
@@ -115,11 +112,6 @@ class TableCache:
     def evictions(self) -> int:
         """Entries dropped to respect the capacity bound."""
         return self._evictions
-
-    @property
-    def bypasses(self) -> int:
-        """Tables the engine never offered because the batch outsized the cache."""
-        return self._bypasses
 
     @property
     def invalidations(self) -> int:
@@ -145,7 +137,6 @@ class TableCache:
             "hits": self._hits,
             "misses": self._misses,
             "evictions": self._evictions,
-            "bypasses": self._bypasses,
             "invalidations": self._invalidations,
             "refreshes": self._refreshes,
         }
@@ -181,11 +172,6 @@ class TableCache:
             self._entries.popitem(last=False)
             self._evictions += 1
             self._events["evict"].inc()
-
-    def note_bypass(self, n: int) -> None:
-        """Record ``n`` tables that skipped the cache wholesale."""
-        self._bypasses += n
-        self._events["bypass"].inc(n)
 
     def advance_generation(self, touched_items: Iterable[int], delta_count: int) -> None:
         """Carry the cache across a database append, exactly.

@@ -4,11 +4,12 @@
 :class:`~repro.core.mining.IncrementalMiner` (the appendable database,
 the cumulative cell store, and the current
 :class:`~repro.algorithms.chi2support.MiningResult`), a
-generation-aware :class:`~repro.parallel.TableCache` for point queries,
-and a per-generation FP-tree engine for top-K queries.  All operations
-hold one lock, so a query never observes a half-applied append — and
-the miner's own two-phase append guarantees that a backend failure
-mid-append leaves the previous generation untouched.
+generation-aware :class:`~repro.parallel.TableCache` of
+:data:`CACHE_CAPACITY` point-query tables, and a per-generation FP-tree
+engine for top-K queries.  All operations hold one lock, so a query
+never observes a half-applied append — and the miner's own two-phase
+append guarantees that a counting failure mid-append leaves the
+previous generation untouched.
 
 Instrumentation rides the existing obs layer on a *service-lifetime*
 telemetry bundle: one span per request, a
@@ -19,9 +20,7 @@ layer bound a request id for the current context, the root span is
 annotated with it and every event emitted while serving the request
 carries it automatically.  Mining itself records into a *fresh*
 per-append telemetry (so :meth:`Telemetry.reconcile` stays exact per
-run); the append response carries that run's reconciliation verdict,
-and the run's deterministic kernel/worker counters are folded into the
-service-lifetime registry so ``GET /metrics`` sees them.
+run); the append response carries that run's reconciliation verdict.
 
 The completed root span of the most recent request on this context is
 published through :func:`last_request_trace` — the HTTP layer reads it
@@ -51,19 +50,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["MiningService", "clear_last_trace", "last_request_trace"]
 
+# Point-query tables the service keeps across requests.
+CACHE_CAPACITY = 256
+
 # The finished span tree of the most recent service call on this
 # context.  A ContextVar (not service state) so concurrent handler
 # threads each see their own request's trace.
 _last_trace_var: ContextVar[dict | None] = ContextVar("repro_last_trace", default=None)
-
-# Counter series from a mining run that are safe to accumulate on the
-# service-lifetime registry: pure counts of work done (not timings), so
-# the lifetime totals stay meaningful across appends.
-_MERGED_COUNTER_PREFIXES = (
-    "kernel_dispatch",
-    "pool_events",
-    "worker_",
-)
 
 
 def last_request_trace() -> dict | None:
@@ -84,9 +77,6 @@ class MiningService:
         support_count: the cell-support count threshold ``s``.
         support_fraction: the cell-support fraction ``p``.
         max_level: cap on itemset size (``None`` = unbounded).
-        counting: table-counting backend for the incremental miner.
-        workers: worker processes for ``counting="parallel"``.
-        cache_size: point-query table cache capacity.
         telemetry: service-lifetime observability bundle (spans,
             request metrics).  Mining runs get their own fresh bundle
             per append when this one is enabled.
@@ -98,9 +88,6 @@ class MiningService:
         support_count: float = 1,
         support_fraction: float = 0.26,
         max_level: int | None = None,
-        counting: str = "bitmap",
-        workers: int | None = None,
-        cache_size: int = 256,
         telemetry: Telemetry | None = None,
     ) -> None:
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
@@ -110,13 +97,11 @@ class MiningService:
             support_count=support_count,
             support_fraction=support_fraction,
             max_level=max_level,
-            counting=counting,
-            workers=workers,
             telemetry_factory=mining_telemetry,
         )
         from repro.parallel import TableCache
 
-        self.cache = TableCache(capacity=cache_size, metrics=self.telemetry.metrics)
+        self.cache = TableCache(capacity=CACHE_CAPACITY, metrics=self.telemetry.metrics)
         self.test = CorrelationTest(significance=significance)
         self._lock = threading.RLock()
         self._fptree: "FPTreePairEngine | None" = None
@@ -185,26 +170,6 @@ class MiningService:
             cumulative_tests=self.miner.cumulative_tests,
         )
 
-    def _absorb_run_metrics(self, run_telemetry: Telemetry) -> None:
-        """Fold a mining run's kernel/worker counters into this registry.
-
-        Each append mines with a fresh telemetry bundle so per-run
-        reconciliation stays exact; without this fold the
-        ``kernel_dispatch`` counters the counting backends recorded
-        (worker-side ones included) would never reach ``/metrics``.
-        Only plain work counters travel — per-run gauges and latency
-        histograms stay with the run report they describe.
-        """
-        if not (self.telemetry.enabled and run_telemetry.enabled):
-            return
-        counters = {
-            key: value
-            for key, value in run_telemetry.metrics.snapshot()["counters"].items()
-            if key.startswith(_MERGED_COUNTER_PREFIXES)
-        }
-        if counters:
-            self.telemetry.metrics.merge({"counters": counters})
-
     # -- endpoints ------------------------------------------------------------
 
     def append(
@@ -221,7 +186,6 @@ class MiningService:
                 report = outcome.result.run_report()
                 reconciliation = report["reconciliation"]
                 self._last_reconciliation_agreed = bool(reconciliation["agreed"])  # type: ignore[index]
-                self._absorb_run_metrics(outcome.result.telemetry)
             self.telemetry.events.emit(
                 "service.append",
                 generation=outcome.generation,
@@ -250,7 +214,6 @@ class MiningService:
                 "n_baskets": self.miner.db.n_baskets,
                 "n_items": self.miner.db.n_items,
                 "significant": len(self.miner.border),
-                "counting": self.miner.counting,
                 "significance": self.miner.significance,
                 "support": {
                     "count": self.miner.support.count,

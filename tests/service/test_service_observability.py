@@ -128,17 +128,6 @@ class TestMetricsEndpoint:
         snapshot = body_json(raw)
         assert set(snapshot) >= {"counters", "gauges", "histograms", "request_id"}
 
-    def test_engine_counters_surface_after_parallel_append(self):
-        service = MiningService(
-            telemetry=Telemetry.create(), counting="parallel", workers=2
-        )
-        seed(service)
-        # The append ran through the parallel engine inside its own run
-        # telemetry; the service folded the engine counters into its
-        # lifetime registry, so they appear in what /metrics serves.
-        snapshot = service.metrics_snapshot()
-        assert any(key.startswith("pool_events") for key in snapshot["counters"])
-
 
 class TestFlightEndpoint:
     def test_debug_flight_shows_a_forced_4xx(self, server):

@@ -132,7 +132,6 @@ class TestTableCache:
             "hits": 1,
             "misses": 1,
             "evictions": 1,
-            "bypasses": 0,
             "invalidations": 0,
             "refreshes": 0,
         }
