@@ -101,6 +101,24 @@ class AppendableBasketDatabase(BasketDatabase):
         """Number of committed appends."""
         return self._generation
 
+    def freeze(self) -> BasketDatabase:
+        """An immutable :class:`BasketDatabase` of the current generation.
+
+        Shares the per-item bitmap ints (Python ints are immutable, and
+        :meth:`commit` replaces list slots rather than changing an int)
+        and any packed index (a commit drops it rather than editing it);
+        copies the basket sequence, the item counts and the vocabulary.
+        Nothing is re-derived, so a freeze costs a few list copies, and
+        later appends never show through the frozen view.
+        """
+        frozen = BasketDatabase(tuple(self._baskets), ItemVocabulary(self.vocabulary))
+        if self._bitmaps is not None:
+            assert self._item_counts is not None
+            frozen._bitmaps = list(self._bitmaps)
+            frozen._item_counts = list(self._item_counts)
+        frozen._packed = self._packed
+        return frozen
+
     # -- staging (phase 1: no mutation) --------------------------------------
 
     def stage_named(self, baskets: Iterable[Iterable[str]]) -> StagedAppend:

@@ -44,6 +44,13 @@ from typing import Sequence
 from repro.core.contingency import ContingencyTable
 from repro.core.correlation import chi_squared
 from repro.core.itemsets import Itemset, ItemVocabulary
+from repro.core.topk import (
+    TopKEntry,
+    _chi2_closed_form,
+    _pair_cells,
+    _slack_below,
+    entries_to_dicts,
+)
 from repro.data.basket import BasketDatabase
 from repro.fptree.tree import FPTree
 from repro.obs import NULL_TELEMETRY, Telemetry
@@ -56,26 +63,6 @@ __all__ = [
     "chi2_pair_upper_bound",
     "item_chi2_upper_bound",
 ]
-
-# Relative slack applied to the K-th best statistic before a bound may
-# prune: bounds and statistics travel through different float
-# expressions, so equality at the boundary must never prune.
-_PRUNE_SLACK = 1e-9
-
-
-def _chi2_closed_form(n: float, count_a: float, count_b: float, both: float) -> float:
-    """chi2 of a 2x2 table from its marginals and co-occurrence count.
-
-    ``chi2 = n (n*nab - na*nb)^2 / (na nb (n-na)(n-nb))``; degenerate
-    marginals (an item in no basket or in every basket) make every
-    deviation structurally zero, so the statistic is 0.
-    """
-    denominator = count_a * count_b * (n - count_a) * (n - count_b)
-    if denominator <= 0:
-        return 0.0
-    deviation = n * both - count_a * count_b
-    return n * deviation * deviation / denominator
-
 
 def chi2_pair_upper_bound(
     n: float, count_a: float, count_b: float, min_cooccurrence: float = 1
@@ -142,16 +129,6 @@ def item_chi2_upper_bound(
     return best
 
 
-def _pair_cells(n: int, count_first: int, count_second: int, both: int) -> dict[int, int]:
-    """The four 2x2 cells; bit 0 is the pair's first (smaller-id) item."""
-    return {
-        0b11: both,
-        0b01: count_first - both,
-        0b10: count_second - both,
-        0b00: n - count_first - count_second + both,
-    }
-
-
 @dataclass(slots=True)
 class SweepStats:
     """What one sweep did — the branch-and-bound's accounting.
@@ -192,20 +169,6 @@ class SweepStats:
 
 
 @dataclass(frozen=True, slots=True)
-class TopKEntry:
-    """One ranked pair: the itemset, its exact chi2, and its table."""
-
-    itemset: Itemset
-    statistic: float
-    table: ContingencyTable
-
-    @property
-    def cooccurrence(self) -> int:
-        """Baskets containing both items (the full-presence cell)."""
-        return int(self.table.nonzero_counts().get(0b11, 0))
-
-
-@dataclass(frozen=True, slots=True)
 class TopKResult:
     """The K strongest pair correlations, strongest first.
 
@@ -228,34 +191,12 @@ class TopKResult:
 
     def to_dict(self, vocabulary: ItemVocabulary | None = None) -> dict[str, object]:
         """JSON-compatible payload; items become names when decodable."""
-        entries = []
-        for rank, entry in enumerate(self.entries, start=1):
-            items: list[object] = [
-                vocabulary.name_of(item) if vocabulary is not None else item
-                for item in entry.itemset.items
-            ]
-            width = len(entry.itemset)
-            cells = {
-                "".join("1" if (cell >> j) & 1 else "0" for j in range(width)): int(
-                    count
-                )
-                for cell, count in sorted(entry.table.nonzero_counts().items())
-            }
-            entries.append(
-                {
-                    "rank": rank,
-                    "items": items,
-                    "chi2": entry.statistic,
-                    "cooccurrence": entry.cooccurrence,
-                    "cells": cells,
-                }
-            )
         return {
             "k": self.k,
             "min_cooccurrence": self.min_cooccurrence,
             "prune": self.prune,
             "n_baskets": self.n_baskets,
-            "entries": entries,
+            "entries": entries_to_dicts(self.entries, vocabulary),
             "stats": self.stats.to_dict(),
         }
 
@@ -417,8 +358,7 @@ class FPTreePairEngine:
         def threshold() -> float | None:
             if k is None or len(selection) < k:
                 return None
-            kth = -selection[-1][0]
-            return kth - _PRUNE_SLACK * max(1.0, kth)
+            return _slack_below(-selection[-1][0])
 
         with self.telemetry.tracer.span(
             "fptree.sweep",

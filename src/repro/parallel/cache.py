@@ -1,8 +1,9 @@
 """A bounded LRU cache for contingency tables.
 
-The streaming service's point queries probe the same handful of
-itemsets repeatedly; counting is the expensive part, so the service
-memoises finished tables here.  The cache is a plain
+Point queries that probe the same handful of itemsets repeatedly can
+memoise finished tables here.  The streaming service does not: it
+counts each point query off an immutable generation snapshot.  The
+cache is a plain
 ordered-dict LRU presented as keyed by
 :class:`~repro.core.itemsets.Itemset` but *interned* to the itemset's
 sorted id tuple internally: tuple keys compare in C, where an
@@ -12,8 +13,8 @@ common case here, since callers construct fresh ``Itemset`` objects per
 query (~1.4x on a fresh-object probe loop; see the benchmark note in
 ``docs/algorithm.md``).  Safe because ``Itemset`` equality is
 defined as tuple equality and both key and cached
-:class:`ContingencyTable` are immutable.  For the *appendable* database
-behind the streaming service, :meth:`TableCache.advance_generation`
+:class:`ContingencyTable` are immutable.  For an *appendable*
+database, :meth:`TableCache.advance_generation`
 carries the cache across
 an append exactly: tables touching an appended item are invalidated,
 all others are patched in place (only their all-absent cell and total

@@ -3,13 +3,22 @@
 :class:`MiningService` owns one
 :class:`~repro.core.mining.IncrementalMiner` (the appendable database,
 the cumulative cell store, and the current
-:class:`~repro.algorithms.chi2support.MiningResult`), a
-generation-aware :class:`~repro.parallel.TableCache` of
-:data:`CACHE_CAPACITY` point-query tables, and a per-generation FP-tree
-engine for top-K queries.  All operations hold one lock, so a query
-never observes a half-applied append — and the miner's own two-phase
-append guarantees that a counting failure mid-append leaves the
-previous generation untouched.
+:class:`~repro.algorithms.chi2support.MiningResult`) and publishes each
+generation as an immutable :class:`_Snapshot`: a frozen
+:class:`~repro.data.basket.BasketDatabase` view, the mining result and
+its border, and the significance summary.  Every read
+(``correlation``, ``significant``, ``status``, ``top_k``) takes the
+current snapshot and answers from it alone, so a read never waits on a
+mine and never mixes two generations.  Point queries count one table
+off the snapshot's bitmaps; top-K ranks pairs with
+:func:`~repro.core.topk.top_k_pairs`.
+
+Appends serialize on a writer-only lock held through the miner's
+two-phase append and the building of the next snapshot.  The service
+lock guards only the published reference: the writer holds it to
+assign the new snapshot, a reader to fetch the current one.  A
+counting failure mid-append publishes nothing, so the previous
+generation stays current.
 
 Instrumentation rides the existing obs layer on a *service-lifetime*
 telemetry bundle: one span per request, a
@@ -36,22 +45,24 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from repro.core.correlation import CorrelationTest
+from repro.core.border import Border
 from repro.core.contingency import ContingencyTable
+from repro.core.correlation import CorrelationTest
 from repro.core.itemsets import Itemset
 from repro.core.mining import IncrementalMiner
 from repro.core.report import rule_to_dict, significance_summary
+from repro.core.rules import CorrelationRule
+from repro.core.topk import entries_to_dicts, top_k_pairs
+from repro.data.basket import BasketDatabase
 from repro.obs import NULL_TELEMETRY, Telemetry, current_request_id
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.fptree import FPTreePairEngine
+    from repro.algorithms.chi2support import MiningResult
 
 __all__ = ["MiningService", "clear_last_trace", "last_request_trace"]
-
-# Point-query tables the service keeps across requests.
-CACHE_CAPACITY = 256
 
 # The finished span tree of the most recent service call on this
 # context.  A ContextVar (not service state) so concurrent handler
@@ -67,6 +78,28 @@ def last_request_trace() -> dict | None:
 def clear_last_trace() -> None:
     """Reset the per-context trace slot (call at request start)."""
     _last_trace_var.set(None)
+
+
+@dataclass(frozen=True, slots=True)
+class _Snapshot:
+    """Everything a read answers from, for one generation.
+
+    Built once per append, after the commit, and never changed: the
+    database is a frozen view, ``rules`` the result's significant
+    itemsets pre-sorted strongest first, ``summary`` the significance
+    summary (``cumulative_tests`` included).
+    """
+
+    generation: int
+    db: BasketDatabase
+    result: "MiningResult | None"
+    border: Border
+    rules: tuple[CorrelationRule, ...]
+    summary: dict[str, object]
+    reconciliation_agreed: bool
+
+    def decode(self, itemset: Itemset) -> list[str]:
+        return [self.db.vocabulary.name_of(item) for item in itemset]
 
 
 class MiningService:
@@ -99,14 +132,12 @@ class MiningService:
             max_level=max_level,
             telemetry_factory=mining_telemetry,
         )
-        from repro.parallel import TableCache
-
-        self.cache = TableCache(capacity=CACHE_CAPACITY, metrics=self.telemetry.metrics)
         self.test = CorrelationTest(significance=significance)
-        self._lock = threading.RLock()
-        self._fptree: "FPTreePairEngine | None" = None
-        self._fptree_generation = -1
-        self._last_reconciliation_agreed = True
+        # Appends serialize on the writer lock; the service lock guards
+        # only the published snapshot reference.
+        self._write_lock = threading.Lock()
+        self._lock = threading.Lock()
+        self._view = self._snapshot(reconciliation_agreed=True)
         self._generation_gauge = self.telemetry.metrics.gauge("index_generation")
         self._generation_gauge.set(0)
 
@@ -149,26 +180,45 @@ class MiningService:
             if self.telemetry.enabled:
                 _last_trace_var.set(span.to_dict())
 
-    # -- shared payload pieces ------------------------------------------------
+    # -- snapshots ------------------------------------------------------------
 
-    def _decode(self, itemset: Itemset) -> list[str]:
-        return [self.miner.db.vocabulary.name_of(item) for item in itemset]
-
-    def _summary(self) -> dict[str, object]:
-        result = self.miner.result
+    def _snapshot(self, reconciliation_agreed: bool) -> _Snapshot:
+        """Freeze the miner's current generation (writer side only)."""
+        miner = self.miner
+        result = miner.result
         hypotheses = 0
-        discoveries = 0
+        rules: tuple[CorrelationRule, ...] = ()
         if result is not None:
             hypotheses = sum(
                 stats.candidates - stats.discarded for stats in result.level_stats
             )
-            discoveries = len(result.rules)
-        return significance_summary(
-            self.miner.significance,
-            hypotheses,
-            discoveries,
-            cumulative_tests=self.miner.cumulative_tests,
+            rules = tuple(
+                sorted(result.rules, key=lambda rule: (-rule.statistic, rule.itemset))
+            )
+        return _Snapshot(
+            generation=miner.generation,
+            db=miner.db.freeze(),
+            result=result,
+            border=miner.border,
+            rules=rules,
+            summary=significance_summary(
+                miner.significance,
+                hypotheses,
+                len(rules),
+                cumulative_tests=miner.cumulative_tests,
+            ),
+            reconciliation_agreed=reconciliation_agreed,
         )
+
+    def _current(self) -> _Snapshot:
+        """The published snapshot; the lock is held only to read it."""
+        with self._lock:
+            return self._view
+
+    @property
+    def generation(self) -> int:
+        """The generation reads currently answer from."""
+        return self._current().generation
 
     # -- endpoints ------------------------------------------------------------
 
@@ -177,77 +227,72 @@ class MiningService:
         baskets: Iterable[Iterable[str]] | Iterable[Iterable[int]],
         numeric: bool = False,
     ) -> dict[str, object]:
-        """Append baskets, advance every generation-keyed structure."""
-        with self._request("append"), self._lock:
+        """Append baskets, then publish the new generation's snapshot."""
+        with self._request("append"), self._write_lock:
             outcome = self.miner.append(baskets, numeric=numeric)
-            self.cache.advance_generation(outcome.touched_items, outcome.n_appended)
-            self._generation_gauge.set(outcome.generation)
+            agreed = self._view.reconciliation_agreed
             if outcome.result is not None:
                 report = outcome.result.run_report()
-                reconciliation = report["reconciliation"]
-                self._last_reconciliation_agreed = bool(reconciliation["agreed"])  # type: ignore[index]
+                agreed = bool(report["reconciliation"]["agreed"])  # type: ignore[index]
+            view = self._snapshot(reconciliation_agreed=agreed)
+            with self._lock:
+                self._view = view
+            self._generation_gauge.set(view.generation)
             self.telemetry.events.emit(
                 "service.append",
-                generation=outcome.generation,
+                generation=view.generation,
                 appended=outcome.n_appended,
             )
             return {
-                "generation": outcome.generation,
+                "generation": view.generation,
                 "appended": outcome.n_appended,
-                "n_baskets": outcome.n_baskets,
-                "n_items": outcome.n_items,
+                "n_baskets": view.db.n_baskets,
+                "n_items": view.db.n_items,
                 "new_items": list(outcome.new_items),
-                "promoted": [self._decode(itemset) for itemset in outcome.promoted],
-                "demoted": [self._decode(itemset) for itemset in outcome.demoted],
-                "significant": len(self.miner.border),
+                "promoted": [view.decode(itemset) for itemset in outcome.promoted],
+                "demoted": [view.decode(itemset) for itemset in outcome.demoted],
+                "significant": len(view.border),
                 "tables_served": outcome.tables_served,
                 "tables_recounted": outcome.tables_recounted,
-                "reconciliation_agreed": self._last_reconciliation_agreed,
-                "significance_summary": self._summary(),
+                "reconciliation_agreed": view.reconciliation_agreed,
+                "significance_summary": dict(view.summary),
             }
 
     def status(self) -> dict[str, object]:
-        """Generation, sizes, parameters, and cache health."""
-        with self._request("status"), self._lock:
+        """Generation, sizes and parameters."""
+        with self._request("status"):
+            view = self._current()
             return {
-                "generation": self.miner.generation,
-                "n_baskets": self.miner.db.n_baskets,
-                "n_items": self.miner.db.n_items,
-                "significant": len(self.miner.border),
+                "generation": view.generation,
+                "n_baskets": view.db.n_baskets,
+                "n_items": view.db.n_items,
+                "significant": len(view.border),
                 "significance": self.miner.significance,
                 "support": {
                     "count": self.miner.support.count,
                     "fraction": self.miner.support.fraction,
                 },
-                "cache": self.cache.stats(),
-                "reconciliation_agreed": self._last_reconciliation_agreed,
+                "reconciliation_agreed": view.reconciliation_agreed,
             }
 
     def significant(self, limit: int | None = None) -> dict[str, object]:
         """The significant itemsets, strongest correlation first."""
-        with self._request("significant"), self._lock:
-            result = self.miner.result
-            rules = [] if result is None else sorted(
-                result.rules, key=lambda rule: (-rule.statistic, rule.itemset)
-            )
-            shown = rules if limit is None else rules[: max(0, limit)]
+        with self._request("significant"):
+            view = self._current()
+            shown = view.rules if limit is None else view.rules[: max(0, limit)]
             return {
-                "generation": self.miner.generation,
-                "total": len(rules),
-                "rules": [
-                    rule_to_dict(rule, self.miner.db.vocabulary) for rule in shown
-                ],
-                "significance_summary": self._summary(),
+                "generation": view.generation,
+                "total": len(view.rules),
+                "rules": [rule_to_dict(rule, view.db.vocabulary) for rule in shown],
+                "significance_summary": dict(view.summary),
             }
 
     def correlation(self, items: Iterable[str | int]) -> dict[str, object]:
-        """Point query: the full chi-squared evidence for one itemset.
-
-        Tables come from the generation-aware cache when the itemset was
-        queried before and no append touched its items since.
-        """
-        with self._request("correlation"), self._lock:
-            vocabulary = self.miner.db.vocabulary
+        """Point query: the full chi-squared evidence for one itemset,
+        counted off the snapshot's bitmaps."""
+        with self._request("correlation"):
+            view = self._current()
+            vocabulary = view.db.vocabulary
             resolved: list[int] = []
             for item in items:
                 if isinstance(item, str):
@@ -255,7 +300,7 @@ class MiningService:
                         raise ValueError(f"unknown item {item!r}")
                     resolved.append(vocabulary.id_of(item))
                 elif isinstance(item, int) and not isinstance(item, bool):
-                    if not 0 <= item < self.miner.db.n_items:
+                    if not 0 <= item < view.db.n_items:
                         raise ValueError(f"item id {item} out of range")
                     resolved.append(item)
                 else:
@@ -263,62 +308,40 @@ class MiningService:
             itemset = Itemset(resolved)
             if len(itemset) < 2:
                 raise ValueError("correlation needs at least two distinct items")
-            table = self.cache.get(itemset)
-            if table is None:
-                table = ContingencyTable.from_database(self.miner.db, itemset)
-                self.cache.put(itemset, table)
+            table = ContingencyTable.from_database(view.db, itemset)
             evidence = self.test(table)
-            border = self.miner.border
             cells = {
                 format(cell, f"0{len(itemset)}b")[::-1]: int(count)
                 for cell, count in sorted(table.nonzero_counts().items())
             }
             return {
-                "generation": self.miner.generation,
-                "items": self._decode(itemset),
+                "generation": view.generation,
+                "items": view.decode(itemset),
                 "item_ids": list(itemset.items),
                 "chi_squared": evidence.statistic,
                 "cutoff": evidence.cutoff,
                 "correlated": evidence.correlated,
                 "p_value": evidence.p_value,
                 "reliable": evidence.reliable,
-                "minimal": border.is_minimal(itemset),
-                "covered_by_border": border.covers(itemset),
+                "minimal": view.border.is_minimal(itemset),
+                "covered_by_border": view.border.covers(itemset),
                 "cells": cells,
                 "n": int(table.n),
-                "significance_summary": self._summary(),
+                "significance_summary": dict(view.summary),
             }
 
     def top_k(self, k: int = 10, min_cooccurrence: int = 1) -> dict[str, object]:
-        """The K strongest pair correlations via the FP-tree engine.
-
-        The tree is built once per generation and reused until the next
-        append — "what's trending" polling never re-mines.
-        """
-        with self._request("topk"), self._lock:
-            if k < 1:
-                raise ValueError(f"k must be >= 1, got {k}")
-            if self.miner.db.n_baskets == 0:
-                return {
-                    "generation": self.miner.generation,
-                    "k": k,
-                    "min_cooccurrence": min_cooccurrence,
-                    "n_baskets": 0,
-                    "entries": [],
-                }
-            engine = self._fptree_engine()
-            result = engine.top_k(k, min_cooccurrence=min_cooccurrence)
-            payload = result.to_dict(self.miner.db.vocabulary)
-            payload["generation"] = self.miner.generation
-            return payload
-
-    def _fptree_engine(self) -> "FPTreePairEngine":
-        if self._fptree is None or self._fptree_generation != self.miner.generation:
-            from repro.fptree import FPTreePairEngine
-
-            self._fptree = FPTreePairEngine(self.miner.db)
-            self._fptree_generation = self.miner.generation
-        return self._fptree
+        """The K strongest pair correlations of the current generation."""
+        with self._request("topk"):
+            view = self._current()
+            entries = top_k_pairs(view.db, k, min_cooccurrence)
+            return {
+                "generation": view.generation,
+                "k": k,
+                "min_cooccurrence": min_cooccurrence,
+                "n_baskets": view.db.n_baskets,
+                "entries": entries_to_dicts(entries, view.db.vocabulary),
+            }
 
     def backfill(self, path: str, numeric: bool = False) -> dict[str, object]:
         """Replay a basket file as one append (the service's cold start).
@@ -338,6 +361,8 @@ class MiningService:
         return self.append(baskets, numeric=numeric)
 
     def metrics_snapshot(self) -> dict[str, object]:
-        """The service-lifetime metrics registry, byte-stable keys."""
-        with self._lock:
-            return self.telemetry.metrics.snapshot()
+        """The service-lifetime metrics registry, byte-stable keys.
+
+        The registry has its own lock; no service lock is taken.
+        """
+        return self.telemetry.metrics.snapshot()

@@ -205,8 +205,8 @@ class TestScheduleEdges:
 
 
 class TestTopKConsistency:
-    """The service's FP-tree top-K over the grown database matches a
-    cold FP-tree engine over the equivalent batch database."""
+    """The service's top-K over the grown database matches a cold
+    FP-tree engine over the equivalent batch database."""
 
     def test_topk_matches_batch_engine(self):
         pytest.importorskip("repro.fptree")
@@ -231,17 +231,20 @@ class TestTopKConsistency:
                 assert payload[key] == expected[key]
 
     def test_topk_generation_cache_invalidated_by_append(self):
+        from repro.core.topk import entries_to_dicts, top_k_pairs
         from repro.service import MiningService
 
         service = MiningService()
-        service.append([["a", "b"], ["a", "b"], ["c"]])
+        first_chunk = [["a", "b"], ["a", "b"], ["c"]]
+        second_chunk = [["a", "c"], ["a", "c"]]
+        service.append(first_chunk)
         first = service.top_k(k=3)
-        assert service._fptree_generation == 1
-        engine = service._fptree
-        again = service.top_k(k=3)
-        assert service._fptree is engine  # reused within a generation
-        assert again["entries"] == first["entries"]
-        service.append([["a", "c"], ["a", "c"]])
-        service.top_k(k=3)
-        assert service._fptree is not engine  # rebuilt after the append
-        assert service._fptree_generation == 2
+        assert (first["generation"], first["n_baskets"]) == (1, 3)
+        assert service.top_k(k=3) == first  # same generation, same answer
+        service.append(second_chunk)
+        second = service.top_k(k=3)
+        assert (second["generation"], second["n_baskets"]) == (2, 5)
+        batch_db = BasketDatabase.from_baskets(first_chunk + second_chunk)
+        expected = entries_to_dicts(top_k_pairs(batch_db, 3), batch_db.vocabulary)
+        assert second["entries"] == expected
+        assert second["entries"] != first["entries"]

@@ -8,6 +8,7 @@ half-applied append.
 """
 
 import json
+import sys
 import threading
 import urllib.error
 import urllib.request
@@ -181,13 +182,25 @@ class TestConcurrentAppendAndQuery:
     Each status response must be internally consistent: at generation g
     the basket count is exactly ``seed + g - 1`` for this schedule, so
     any torn read (generation advanced but counts not, or vice versa)
-    shows up as a mismatched pair.
+    shows up as a mismatched pair.  Top-K and significant answers must
+    equal what a single-threaded replay of the schedule answered at the
+    generation they report.
     """
 
     def test_status_always_consistent(self):
-        service = MiningService()
-        service.append([["tea", "coffee"]] * 3 + [["milk"]])  # generation 1, 4 baskets
+        first = [["tea", "coffee"]] * 3 + [["milk"]]  # generation 1, 4 baskets
         appends = 30
+        replay = MiningService()
+        replay.append(first)
+        expected_top_k = {1: replay.top_k()}
+        expected_significant = {1: replay.significant()}
+        for _ in range(appends):
+            replay.append([["tea", "coffee"]])
+            expected_top_k[replay.generation] = replay.top_k()
+            expected_significant[replay.generation] = replay.significant()
+
+        service = MiningService()
+        service.append(first)
         errors = []
         stop = threading.Event()
 
@@ -221,19 +234,98 @@ class TestConcurrentAppendAndQuery:
                                 f"with n={table_n}"
                             )
                         )
+                    top_k = service.top_k()
+                    if top_k["n_baskets"] != 4 + (top_k["generation"] - 1):
+                        errors.append(
+                            AssertionError(
+                                f"torn top-K: generation {top_k['generation']} "
+                                f"with {top_k['n_baskets']} baskets"
+                            )
+                        )
+                    if top_k != expected_top_k[top_k["generation"]]:
+                        errors.append(
+                            AssertionError(f"top-K differs at generation {top_k['generation']}")
+                        )
+                    significant = service.significant()
+                    if significant != expected_significant[significant["generation"]]:
+                        errors.append(
+                            AssertionError(
+                                "significant itemsets differ at generation "
+                                f"{significant['generation']}"
+                            )
+                        )
             except Exception as error:  # pragma: no cover - failure path
                 errors.append(error)
 
         threads = [threading.Thread(target=appender)] + [
             threading.Thread(target=querier) for _ in range(3)
         ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
+        # A short switch interval makes the threads interleave finely.
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert not any(thread.is_alive() for thread in threads)
         assert not errors
         assert service.miner.generation == 1 + appends
         assert service.miner.db.n_baskets == 4 + appends
+
+
+class TestReadsNeverWaitOnAppend:
+    """Reads answer from the published generation while an append mines."""
+
+    def test_reads_return_while_an_append_is_parked(self, monkeypatch):
+        service = MiningService()
+        seed(service)  # generation 1, 6 baskets
+        parked = threading.Event()
+        release = threading.Event()
+        count = mining_module._IncrementalTableEngine._count
+
+        def park(self, db, itemsets):
+            parked.set()
+            release.wait(timeout=30)
+            return count(self, db, itemsets)
+
+        monkeypatch.setattr(mining_module._IncrementalTableEngine, "_count", park)
+        writer = threading.Thread(
+            target=service.append, args=([["tea", "sugar"], ["sugar"]],)
+        )
+        writer.start()
+        answers = {}
+
+        def read_everything():
+            answers["correlation"] = service.correlation(["tea", "coffee"])
+            answers["status"] = service.status()
+            answers["significant"] = service.significant()
+            answers["top_k"] = service.top_k()
+
+        try:
+            assert parked.wait(timeout=10), "the append never reached phase A"
+            reader = threading.Thread(target=read_everything)
+            reader.start()
+            reader.join(timeout=1.0)
+            assert not reader.is_alive(), "a read waited on the parked append"
+        finally:
+            release.set()
+            writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert set(answers) == {"correlation", "status", "significant", "top_k"}
+        for answer in answers.values():
+            assert answer["generation"] == 1
+        assert answers["correlation"]["n"] == 6
+        assert answers["status"]["n_baskets"] == 6
+        assert answers["top_k"]["n_baskets"] == 6
+
+        assert service.status()["generation"] == 2
+        assert service.status()["n_baskets"] == 8
+        assert service.correlation(["tea", "sugar"])["n"] == 8
+        assert service.top_k()["n_baskets"] == 8
+        assert service.significant()["generation"] == 2
 
 
 class TestSpansClosedOnErrorPaths:

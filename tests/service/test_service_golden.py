@@ -64,7 +64,7 @@ def test_scripted_session_matches_golden(quest_baskets):
         ("GET", "/query/topk?k=4&min_cooccurrence=2", None),
         ("POST", "/query/itemset", {"items": [0, 1]}),
         ("POST", "/query/itemset", {"items": ["item2", "item3"]}),
-        ("POST", "/query/itemset", {"items": [0, 1]}),  # cache hit path
+        ("POST", "/query/itemset", {"items": [0, 1]}),  # repeated query
         ("GET", "/status", None),
         ("GET", "/nowhere", None),
         ("POST", "/query/itemset", {"items": [0]}),

@@ -12,12 +12,14 @@ import repro.algorithms.chi2support
 import repro.core.correlation
 import repro.core.itemsets
 import repro.core.mining
+import repro.core.topk
 import repro.data.datacube
 
 MODULES = [
     repro.core.itemsets,
     repro.core.correlation,
     repro.core.mining,
+    repro.core.topk,
     repro.algorithms.chi2support,
     repro.data.datacube,
 ]
