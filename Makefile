@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast test-all lint lint-strict lint-json lint-sarif bench bench-counting bench-mine bench-mine-smoke bench-paper examples service-smoke docs-check all
+.PHONY: install test test-fast test-all lint lint-strict lint-json bench bench-counting bench-mine bench-mine-smoke bench-paper examples service-smoke docs-check all
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -35,11 +35,6 @@ lint-strict:
 
 lint-json:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro.analysis --format json
-
-# SARIF 2.1.0 for GitHub code scanning (CI uploads replint.sarif).
-lint-sarif:
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro.analysis --no-cache --format sarif > replint.sarif || true
-	@echo "wrote replint.sarif"
 
 bench: bench-counting
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

@@ -24,7 +24,6 @@ from repro.analysis.framework import (
 from repro.analysis.reporters import (
     render_json,
     render_rule_list,
-    render_sarif,
     render_text,
 )
 
@@ -40,6 +39,5 @@ __all__ = [
     "register",
     "render_json",
     "render_rule_list",
-    "render_sarif",
     "render_text",
 ]

@@ -8,12 +8,7 @@ from collections.abc import Sequence
 from pathlib import Path
 
 from repro.analysis.framework import lint
-from repro.analysis.reporters import (
-    render_json,
-    render_rule_list,
-    render_sarif,
-    render_text,
-)
+from repro.analysis.reporters import render_json, render_rule_list, render_text
 
 __all__ = ["main", "build_parser"]
 
@@ -39,9 +34,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=["text", "json", "sarif"],
+        choices=["text", "json"],
         default="text",
-        help="output format (sarif = SARIF 2.1.0 for GitHub code scanning)",
+        help="output format",
     )
     parser.add_argument(
         "--select", default=None, help="comma-separated rule ids to run (default: all)"
@@ -80,7 +75,7 @@ def _split(ids: str | None) -> list[str] | None:
     return [part.strip() for part in ids.split(",") if part.strip()]
 
 
-_RENDERERS = {"text": render_text, "json": render_json, "sarif": render_sarif}
+_RENDERERS = {"text": render_text, "json": render_json}
 
 
 def main(argv: Sequence[str] | None = None) -> int:

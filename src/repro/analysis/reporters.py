@@ -1,19 +1,17 @@
 """Render a :class:`~repro.analysis.framework.LintReport` for humans or CI.
 
-Three machine formats ride alongside the human text: ``json`` (the
-project's own schema, for ad-hoc tooling), ``sarif`` (SARIF 2.1.0, the
-interchange format GitHub code scanning ingests — ``make lint-sarif``
-uploads it so violations annotate pull requests inline), and the rule
-catalogue for ``--list-rules``.
+Two machine formats ride alongside the human text: ``json`` (the
+project's own schema, for ad-hoc tooling) and the rule catalogue for
+``--list-rules``.
 """
 
 from __future__ import annotations
 
 import json
 
-from repro.analysis.framework import META_RULE_ID, REGISTRY, LintReport
+from repro.analysis.framework import REGISTRY, LintReport
 
-__all__ = ["render_text", "render_json", "render_sarif", "render_rule_list"]
+__all__ = ["render_text", "render_json", "render_rule_list"]
 
 
 def render_text(report: LintReport) -> str:
@@ -53,77 +51,6 @@ def render_json(report: LintReport) -> str:
                 "message": violation.message,
             }
             for violation in report.violations
-        ],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def render_sarif(report: LintReport) -> str:
-    """SARIF 2.1.0 — the static-analysis interchange format.
-
-    One run, one driver (``replint``), one rule entry per registered
-    rule plus the reserved ``RPR000`` meta-rule.  Violation columns are
-    0-based internally and 1-based in SARIF, hence the ``+ 1``.
-    """
-    rules = [
-        {
-            "id": rule_id,
-            "name": REGISTRY[rule_id].name,
-            "shortDescription": {"text": REGISTRY[rule_id].name},
-            "fullDescription": {"text": REGISTRY[rule_id].rationale},
-            "defaultConfiguration": {"level": "error"},
-        }
-        for rule_id in sorted(REGISTRY)
-    ]
-    rules.append(
-        {
-            "id": META_RULE_ID,
-            "name": "replint-directive",
-            "shortDescription": {"text": "replint-directive"},
-            "fullDescription": {
-                "text": "Problems with replint itself: unparseable files and "
-                "undocumented, stale, or unknown-rule suppressions."
-            },
-            "defaultConfiguration": {"level": "error"},
-        }
-    )
-    results = [
-        {
-            "ruleId": violation.rule,
-            "level": "error",
-            "message": {"text": violation.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {
-                            "uri": violation.path,
-                            "uriBaseId": "%SRCROOT%",
-                        },
-                        "region": {
-                            "startLine": max(1, violation.line),
-                            "startColumn": violation.col + 1,
-                        },
-                    }
-                }
-            ],
-        }
-        for violation in report.violations
-    ]
-    payload = {
-        "$schema": "https://json.schemastore.org/sarif-2.1.0.json",
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "replint",
-                        "informationUri": "docs/static_analysis.md",
-                        "rules": sorted(rules, key=lambda rule: rule["id"]),
-                    }
-                },
-                "results": results,
-                "columnKind": "utf16CodeUnits",
-            }
         ],
     }
     return json.dumps(payload, indent=2, sort_keys=True)

@@ -5,8 +5,8 @@ together:
 
 * ``mine`` — run the chi2-support miner (Figure 1) over a basket file
   and print the significant itemsets with their evidence;
-* ``topk`` — rank the K strongest pair correlations with the FP-tree
-  branch-and-bound engine (:mod:`repro.fptree`);
+* ``topk`` — rank the K strongest pair correlations exhaustively off
+  the item bitmaps (:func:`repro.core.topk.top_k_pairs`);
 * ``apriori`` — run the support-confidence baseline and print the
   accepted association rules;
 * ``generate`` — materialise one of the paper's datasets (census /
@@ -134,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     topk = commands.add_parser(
-        "topk", help="the K strongest pair correlations (FP-tree branch-and-bound)"
+        "topk", help="the K strongest pair correlations (exhaustive, off the item bitmaps)"
     )
     _add_input_arguments(topk)
     topk.add_argument("--k", type=int, default=10, help="how many pairs to report")
@@ -145,29 +145,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="only rank pairs co-occurring at least this often (the search universe)",
     )
     topk.add_argument(
-        "--no-prune",
+        "--json",
         action="store_true",
-        help="disable the branch-and-bound prune (same output, only slower)",
-    )
-    topk.add_argument(
-        "--json", action="store_true", help="emit the ranking as JSON instead of text"
-    )
-    topk.add_argument(
-        "--telemetry",
-        action="store_true",
-        help="record spans/metrics and print the sweep stats on stderr",
-    )
-    topk.add_argument(
-        "--trace-out",
-        metavar="FILE",
-        default=None,
-        help="write a Chrome trace-event JSON file; implies --telemetry",
-    )
-    topk.add_argument(
-        "--metrics-out",
-        metavar="FILE",
-        default=None,
-        help="write the metrics snapshot as JSON; implies --telemetry",
+        help="emit the ranking as JSON (GET /query/topk's payload, minus generation)",
     )
 
     baseline = commands.add_parser("apriori", help="support-confidence baseline")
@@ -297,58 +277,34 @@ def _command_mine(args: argparse.Namespace) -> int:
 
 
 def _command_topk(args: argparse.Namespace) -> int:
-    from repro.fptree import FPTreePairEngine
-
-    telemetry = None
-    if args.telemetry or args.trace_out or args.metrics_out:
-        from repro.obs import Telemetry
-
-        telemetry = Telemetry.create()
+    from repro.core.topk import entries_to_dicts, top_k_pairs
 
     db = _load(args.input, args.numeric)
-    engine = FPTreePairEngine(db, telemetry=telemetry)
-    result = engine.top_k(
-        args.k, min_cooccurrence=args.min_cooccurrence, prune=not args.no_prune
-    )
-
-    if telemetry is not None:
-        import json
-
-        if args.trace_out:
-            with open(args.trace_out, "w", encoding="utf-8") as handle:
-                handle.write(telemetry.tracer.to_chrome_json(indent=2))
-                handle.write("\n")
-        if args.metrics_out:
-            payload = {
-                "metrics": telemetry.metrics.snapshot(),
-                "sweep": result.stats.to_dict(),
-            }
-            with open(args.metrics_out, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-        stats = result.stats
-        print(
-            f"fptree: {stats.nodes} nodes over {stats.header_items} items; "
-            f"{stats.subtrees_pruned}/{stats.header_items} subtrees pruned, "
-            f"{stats.pairs_pruned}/{stats.pairs_discovered} pair evaluations pruned",
-            file=sys.stderr,
-        )
+    entries = top_k_pairs(db, args.k, args.min_cooccurrence)
 
     if args.json:
-        print(result.serialize(db.vocabulary), end="")
+        import json
+
+        payload = {
+            "k": args.k,
+            "min_cooccurrence": args.min_cooccurrence,
+            "n_baskets": db.n_baskets,
+            "entries": entries_to_dicts(entries, db.vocabulary),
+        }
+        print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
 
     print(
         f"# {db.n_baskets} baskets, {db.n_items} items; "
         f"top {args.k} pair correlations with co-occurrence >= {args.min_cooccurrence}"
     )
-    for rank, entry in enumerate(result.entries, start=1):
+    for rank, entry in enumerate(entries, start=1):
         names = " ".join(db.vocabulary.decode(entry.itemset))
         print(
             f"{rank:>3}. chi2={entry.statistic:<12.4f} "
             f"cooccurrence={entry.cooccurrence:<6} {{{names}}}"
         )
-    if not result.entries:
+    if not entries:
         print("# no pair meets the co-occurrence floor")
     return 0
 

@@ -7,11 +7,12 @@ runs in Examples 1 and 4.
 
 This module also hosts the *incremental* mining layer the streaming
 service builds on: :class:`IncrementalMiner` maintains the SIG/NOTSIG
-border over an :class:`~repro.data.appendable.AppendableBasketDatabase`
-across appends, recounting only what a delta of baskets can have
-changed, while staying bit-identical to a cold batch re-mine of the
-accumulated database at every generation (the differential property
-suite in ``tests/service`` asserts exactly that).
+border across appends, one immutable
+:class:`~repro.data.basket.BasketDatabase` per generation, recounting
+only what a delta of baskets can have changed, while staying
+bit-identical to a cold batch re-mine of the accumulated database at
+every generation (the differential property suite in ``tests/service``
+asserts exactly that).
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.core.border import Border
-from repro.core.contingency import ContingencyTable, count_cells
+from repro.core.contingency import _MAX_DENSE_ITEMS, ContingencyTable, count_cells
 from repro.core.correlation import CorrelationTest
 from repro.core.itemsets import Itemset, ItemVocabulary
 from repro.core.rules import AssociationRule, CorrelationRule
-from repro.data.appendable import AppendableBasketDatabase, StagedAppend
+from repro.data.appendable import BasketLog, extend
 from repro.data.basket import BasketDatabase
 from repro.measures.cellsupport import CellSupport
 
@@ -167,34 +168,8 @@ def compare_frameworks(
 # -- incremental mining --------------------------------------------------------
 
 
-class _PendingView:
-    """What the accumulated database *will* look like after the commit.
-
-    The level-wise miner reads only aggregate state from its database
-    when an engine does the counting — basket count, item count, and the
-    per-item occurrence counts (the level-1 data).  All three are
-    computed arithmetically from the pre-append database plus the staged
-    delta, without mutating anything, so the whole decision cascade runs
-    against the post-append world while the real database stays
-    untouched and queryable.
-    """
-
-    __slots__ = ("n_baskets", "n_items", "_item_counts")
-
-    def __init__(self, n_baskets: int, n_items: int, item_counts: tuple[int, ...]) -> None:
-        self.n_baskets = n_baskets
-        self.n_items = n_items
-        self._item_counts = item_counts
-
-    def item_counts(self) -> tuple[int, ...]:
-        return self._item_counts
-
-    def item_count(self, item: int) -> int:
-        return self._item_counts[item]
-
-
 class _IncrementalTableEngine:
-    """Serves post-append contingency tables from cumulative cell counts.
+    """Serves the grown generation's contingency tables from cumulative cells.
 
     Handed to :class:`~repro.algorithms.chi2support.ChiSquaredSupportMiner`
     as the run's counting backend, so the *decision cascade* (support
@@ -202,29 +177,32 @@ class _IncrementalTableEngine:
     miner's own code — the only thing incremental about the run is where
     the tables come from:
 
-    * itemsets counted at the previous generation reuse their cached
-      base cells and add the delta's cells (counted over the small
-      delta-only database);
-    * never-before-seen candidates are counted over the full accumulated
-      base database once, then join the cache.
+    * itemsets counted at the previous generation add the delta's cells
+      (counted over the small delta-only database) to their stored cells;
+    * never-before-seen candidates are counted over the grown database,
+      then join the store.  The one exception is an itemset too wide for
+      the bitmap kernels: :func:`~repro.core.contingency.count_cells`
+      scans baskets for it, and the grown generation's baskets become
+      readable only at the commit, so it is counted over the previous
+      generation plus the delta instead.
 
-    Both counts go through :func:`~repro.core.contingency.count_cells`
-    on the databases' bitmaps; no registry backend runs inside an
-    append.  All cells are exact integers and the merged table goes
-    through :meth:`ContingencyTable.from_cell_counts` — the same
-    canonical-order marginal derivation every batch backend uses — so
-    the tables, and therefore every decision made on them, are
-    bit-identical to a cold batch mine on any backend.
+    Every count goes through :func:`~repro.core.contingency.count_cells`;
+    no registry backend runs inside an append.  All cells are exact
+    integers and every table goes through
+    :meth:`ContingencyTable.from_cell_counts` — the same canonical-order
+    marginal derivation every batch backend uses — so the tables, and
+    therefore every decision made on them, are bit-identical to a cold
+    batch mine on any backend.
     """
 
     def __init__(
         self,
-        view: _PendingView,
-        base_db: BasketDatabase | None,
+        db: BasketDatabase,
+        base_db: BasketDatabase,
         delta_db: BasketDatabase,
         cached_cells: dict[Itemset, dict[int, int]],
     ) -> None:
-        self.db = view
+        self.db = db
         self._base_db = base_db
         self._delta_db = delta_db
         self._cached = cached_cells
@@ -240,43 +218,23 @@ class _IncrementalTableEngine:
 
     def count_tables(self, candidates: Sequence[Itemset]) -> dict[Itemset, ContingencyTable]:
         fresh = [c for c in candidates if c not in self._cached]
-        delta_cells = self._count(self._delta_db, list(candidates))
-        base_fresh: dict[Itemset, dict[int, int]] = {}
-        if self._base_db is not None:
-            base_items = self._base_db.n_items
-            # Candidates containing brand-new items cannot be counted
-            # over the base database (their ids exceed its index) and
-            # don't need to be: a new item occurs in zero base baskets,
-            # so the candidate's base cells are exactly the cells of its
-            # old-item restriction.  Provisional ids always sort after
-            # existing ids, so the restriction occupies the low bit
-            # positions and the cell indices map across unchanged.
-            inside = [c for c in fresh if not c.items or c.items[-1] < base_items]
-            base_fresh = self._count(self._base_db, inside)
-            base_n = self._base_db.n_baskets
-            for candidate in fresh:
-                if candidate in base_fresh:
-                    continue
-                old_items = tuple(i for i in candidate.items if i < base_items)
-                if old_items:
-                    base_fresh[candidate] = count_cells(self._base_db, Itemset(old_items))
-                else:
-                    base_fresh[candidate] = {0: base_n}
+        wide = [c for c in fresh if len(c) > _MAX_DENSE_ITEMS]
+        grown = self._count(self.db, [c for c in fresh if len(c) <= _MAX_DENSE_ITEMS])
+        base = self._count(self._base_db, wide)
+        delta = self._count(self._delta_db, [c for c in candidates if c not in grown])
         n = self.db.n_baskets
         tables: dict[Itemset, ContingencyTable] = {}
         for candidate in candidates:
-            cached = self._cached.get(candidate)
-            if cached is not None:
-                base_cells = cached
-                self.served += 1
-            else:
-                base_cells = base_fresh.get(candidate, {})
-                self.recounted += 1
-            merged = dict(base_cells)
-            for cell, count in delta_cells.get(candidate, {}).items():
-                merged[cell] = merged.get(cell, 0) + count
-            self.new_cells[candidate] = merged
-            tables[candidate] = ContingencyTable.from_cell_counts(candidate, merged, n)
+            cells = grown.get(candidate)
+            if cells is None:
+                stored = self._cached.get(candidate)
+                cells = dict(stored if stored is not None else base[candidate])
+                for cell, count in delta[candidate].items():
+                    cells[cell] = cells.get(cell, 0) + count
+            self.new_cells[candidate] = cells
+            tables[candidate] = ContingencyTable.from_cell_counts(candidate, cells, n)
+        self.served += len(candidates) - len(fresh)
+        self.recounted += len(fresh)
         return tables
 
 
@@ -287,8 +245,8 @@ class AppendOutcome:
     ``promoted``/``demoted`` are the border delta: itemsets that entered
     or left the SIG border at this generation.  ``tables_served`` /
     ``tables_recounted`` measure the incremental win — candidates whose
-    base cells came from the cumulative cache versus a fresh count over
-    the accumulated database.  ``result`` is the full post-append mining
+    stored cells only needed the delta's cells added versus a fresh
+    count over the grown database.  ``result`` is the full post-append mining
     result (``None`` only while the database is still empty).
     """
 
@@ -297,7 +255,6 @@ class AppendOutcome:
     n_baskets: int
     n_items: int
     new_items: tuple[str, ...]
-    touched_items: frozenset[int]
     promoted: list[Itemset] = field(default_factory=list)
     demoted: list[Itemset] = field(default_factory=list)
     tables_served: int = 0
@@ -307,14 +264,16 @@ class AppendOutcome:
 
 
 class IncrementalMiner:
-    """Maintains mining state over an append-only database.
+    """Maintains mining state over a growing sequence of baskets.
 
-    Each :meth:`append` stages the delta, re-runs the Figure 1 decision
-    cascade against a *pending view* of the grown database (serving
-    tables incrementally — see :class:`_IncrementalTableEngine`), and
-    only then commits the mutation.  A counting failure mid-append
-    therefore leaves the previous generation fully intact and
-    queryable.
+    Every generation is an immutable :class:`BasketDatabase`.  Each
+    :meth:`append` builds the next one with
+    :func:`~repro.data.appendable.extend`, re-runs the Figure 1 decision
+    cascade on it (serving tables incrementally — see
+    :class:`_IncrementalTableEngine`), and only then commits: it extends
+    the shared basket log and swaps references.  A counting failure
+    mid-append therefore leaves the previous generation current, and no
+    generation ever changes once built.
 
     The maintained invariant, enforced by the differential property
     suite: after every append, :attr:`result` is bit-identical to
@@ -336,23 +295,24 @@ class IncrementalMiner:
         support_count: float = 1,
         support_fraction: float = 0.26,
         max_level: int | None = None,
-        db: AppendableBasketDatabase | None = None,
         telemetry_factory: "Callable[[], Telemetry] | None" = None,
     ) -> None:
         self.significance = significance
         self.support = CellSupport(count=support_count, fraction=support_fraction)
         self.max_level = max_level
-        self.db = db if db is not None else AppendableBasketDatabase.empty()
         self._telemetry_factory = telemetry_factory
+        # Every generation reads a prefix of this one append-only list.
+        self._log: list[tuple[int, ...]] = []
+        self.db = BasketDatabase(BasketLog(self._log, 0), ItemVocabulary())
+        self._generation = 0
         self._cells: dict[Itemset, dict[int, int]] = {}
         self._result: "MiningResult | None" = None
         self._cumulative_tests = 0
-        self._delta_vocab = ItemVocabulary()
 
     @property
     def generation(self) -> int:
-        """The database generation (number of committed appends)."""
-        return self.db.generation
+        """The number of committed appends."""
+        return self._generation
 
     @property
     def result(self) -> "MiningResult | None":
@@ -376,53 +336,34 @@ class IncrementalMiner:
 
         return NULL_TELEMETRY
 
-    def _delta_database(self, staged: StagedAppend) -> BasketDatabase:
-        """The delta as a standalone database over the post-append id space."""
-        while len(self._delta_vocab) < staged.new_k:
-            self._delta_vocab.add(f"item{len(self._delta_vocab)}")
-        return BasketDatabase(list(staged.baskets), self._delta_vocab)
-
     def append(
         self, baskets: Iterable[Iterable[str]] | Iterable[Iterable[int]], numeric: bool = False
     ) -> AppendOutcome:
         """Append baskets, update the border, and report what changed.
 
-        Phase A (fallible, zero mutation): stage the delta, compute the
-        pending aggregates, and run the full decision cascade with
-        tables served incrementally.  Phase B (infallible): commit the
-        staged delta and swap in the new cumulative state.  Any
+        Phase A (fallible, zero mutation): build the grown generation and
+        run the full decision cascade on it with tables served
+        incrementally.  Phase B (infallible): extend the basket log and
+        swap in the new generation, cell store and result.  Any
         exception during phase A leaves the previous generation exactly
         as it was.
         """
-        staged = self.db.stage_ids(baskets) if numeric else self.db.stage_named(baskets)  # type: ignore[arg-type]
+        old_db = self.db
         old_border = self.border
-        if staged.n_new_baskets == 0:
+        # -- phase A: everything that can fail, against immutable state --
+        db, delta = extend(old_db, self._log, baskets, numeric)
+        if delta.n_baskets == 0:
             # Nothing can change: no baskets means no new items either.
-            generation = self.db.commit(staged)
+            self._generation += 1
             return AppendOutcome(
-                generation=generation,
+                generation=self._generation,
                 n_appended=0,
-                n_baskets=self.db.n_baskets,
-                n_items=self.db.n_items,
+                n_baskets=old_db.n_baskets,
+                n_items=old_db.n_items,
                 new_items=(),
-                touched_items=frozenset(),
                 result=self._result,
             )
-
-        # -- phase A: everything that can fail, against immutable state --
-        new_n = staged.base_baskets + staged.n_new_baskets
-        new_k = staged.new_k
-        counts = list(self.db.item_counts()) + [0] * len(staged.new_names)
-        for basket in staged.baskets:
-            for item in basket:
-                counts[item] += 1
-        view = _PendingView(new_n, new_k, tuple(counts))
-        engine = _IncrementalTableEngine(
-            view,
-            self.db if self.db.n_baskets else None,
-            self._delta_database(staged),
-            self._cells,
-        )
+        engine = _IncrementalTableEngine(db, old_db, delta, self._cells)
         from repro.algorithms.chi2support import ChiSquaredSupportMiner
 
         miner = ChiSquaredSupportMiner(
@@ -431,10 +372,12 @@ class IncrementalMiner:
             max_level=self.max_level,
             telemetry=self._telemetry(),
         )
-        result = miner._mine(view, engine)  # type: ignore[arg-type]
+        result = miner._mine(db, engine)
 
-        # -- phase B: the infallible commit --
-        generation = self.db.commit(staged)
+        # -- phase B: the infallible commit, a log extend and reference swaps --
+        self._log.extend(delta)
+        self.db = db
+        self._generation += 1
         self._cells = engine.new_cells
         self._result = result
         promoted, demoted = result.border.diff(old_border)
@@ -443,12 +386,11 @@ class IncrementalMiner:
         )
         self._cumulative_tests += hypotheses
         return AppendOutcome(
-            generation=generation,
-            n_appended=staged.n_new_baskets,
-            n_baskets=self.db.n_baskets,
-            n_items=self.db.n_items,
-            new_items=staged.new_names,
-            touched_items=staged.touched_items,
+            generation=self._generation,
+            n_appended=delta.n_baskets,
+            n_baskets=db.n_baskets,
+            n_items=db.n_items,
+            new_items=tuple(db.vocabulary.decode(range(old_db.n_items, db.n_items))),
             promoted=promoted,
             demoted=demoted,
             tables_served=engine.served,

@@ -1,6 +1,5 @@
 """Data substrates: basket databases, I/O, and the paper's three datasets."""
 
-from repro.data.appendable import AppendableBasketDatabase, StagedAppend
 from repro.data.basket import BasketDatabase
 from repro.data.census import (
     CENSUS_ATTRIBUTES,
@@ -42,8 +41,6 @@ from repro.data.quest import QuestParameters, generate_quest
 from repro.data.text import TextPipeline, corpus_to_baskets, tokenize
 
 __all__ = [
-    "AppendableBasketDatabase",
-    "StagedAppend",
     "BasketDatabase",
     "CountDatacube",
     "BinnedAttribute",

@@ -1,12 +1,13 @@
 """The mining service: incremental state plus query surface.
 
 :class:`MiningService` owns one
-:class:`~repro.core.mining.IncrementalMiner` (the appendable database,
-the cumulative cell store, and the current
+:class:`~repro.core.mining.IncrementalMiner` (the current generation's
+database, the cumulative cell store, and the current
 :class:`~repro.algorithms.chi2support.MiningResult`) and publishes each
-generation as an immutable :class:`_Snapshot`: a frozen
-:class:`~repro.data.basket.BasketDatabase` view, the mining result and
-its border, and the significance summary.  Every read
+generation as an immutable :class:`_Snapshot`: the generation's
+:class:`~repro.data.basket.BasketDatabase` itself (the miner never
+changes one once built), the mining result and its border, and the
+significance summary.  Every read
 (``correlation``, ``significant``, ``status``, ``top_k``) takes the
 current snapshot and answers from it alone, so a read never waits on a
 mine and never mixes two generations.  Point queries count one table
@@ -85,9 +86,10 @@ class _Snapshot:
     """Everything a read answers from, for one generation.
 
     Built once per append, after the commit, and never changed: the
-    database is a frozen view, ``rules`` the result's significant
-    itemsets pre-sorted strongest first, ``summary`` the significance
-    summary (``cumulative_tests`` included).
+    database is the miner's immutable generation, ``rules`` the
+    result's significant itemsets pre-sorted strongest first,
+    ``summary`` the significance summary (``cumulative_tests``
+    included).
     """
 
     generation: int
@@ -183,7 +185,7 @@ class MiningService:
     # -- snapshots ------------------------------------------------------------
 
     def _snapshot(self, reconciliation_agreed: bool) -> _Snapshot:
-        """Freeze the miner's current generation (writer side only)."""
+        """The miner's current generation, ready to publish (writer side only)."""
         miner = self.miner
         result = miner.result
         hypotheses = 0
@@ -197,7 +199,7 @@ class MiningService:
             )
         return _Snapshot(
             generation=miner.generation,
-            db=miner.db.freeze(),
+            db=miner.db,
             result=result,
             border=miner.border,
             rules=rules,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.analysis import lint, render_json, render_sarif, render_text
+from repro.analysis import lint, render_json, render_text
 from repro.analysis.__main__ import main
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -120,33 +120,6 @@ def test_json_reporter_round_trips():
     assert set(first) == {"path", "line", "col", "rule", "message"}
 
 
-def test_sarif_reporter_structure():
-    report = lint(paths=[FIXTURES / "rpr006_violation.py"], root=FIXTURES)
-    document = json.loads(render_sarif(report))
-    assert document["version"] == "2.1.0"
-    run = document["runs"][0]
-    assert run["tool"]["driver"]["name"] == "replint"
-    rule_ids = [rule["id"] for rule in run["tool"]["driver"]["rules"]]
-    assert rule_ids == sorted(rule_ids)
-    assert "RPR000" in rule_ids  # the meta-rule is part of the catalogue
-    assert "RPR006" in rule_ids
-    assert len(run["results"]) == len(report.violations)
-    result = run["results"][0]
-    violation = report.violations[0]
-    location = result["locations"][0]["physicalLocation"]
-    assert location["artifactLocation"]["uri"] == violation.path
-    assert location["artifactLocation"]["uriBaseId"] == "%SRCROOT%"
-    assert location["region"]["startLine"] == violation.line
-    # SARIF columns are 1-based; Violation columns are 0-based.
-    assert location["region"]["startColumn"] == violation.col + 1
-
-
-def test_sarif_reporter_on_a_clean_report_has_no_results():
-    report = lint(paths=[FIXTURES / "rpr006_clean.py"], root=FIXTURES)
-    document = json.loads(render_sarif(report))
-    assert document["runs"][0]["results"] == []
-
-
 # -- CLI ----------------------------------------------------------------------
 
 
@@ -216,14 +189,6 @@ def test_cli_unknown_rule_id_is_a_usage_error(capsys):
     # Same contract for --ignore: a typo must not silently ignore nothing.
     assert main([str(FIXTURES), "--ignore", "RPR999"]) == 2
     assert "unknown rule" in capsys.readouterr().err
-
-
-def test_cli_sarif_format(capsys):
-    bad = str(FIXTURES / "rpr006_violation.py")
-    assert main([bad, "--root", str(FIXTURES), "--format", "sarif"]) == 1
-    document = json.loads(capsys.readouterr().out)
-    assert document["runs"][0]["tool"]["driver"]["name"] == "replint"
-    assert document["runs"][0]["results"]
 
 
 def test_cli_strict_flag(tmp_path, capsys):

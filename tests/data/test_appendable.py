@@ -1,10 +1,10 @@
-"""An append drops the packed index; the next vectorized mine repacks.
+"""An append's new generation packs its own index; mines see the growth.
 
-:meth:`AppendableBasketDatabase.commit` keeps its big-int bitmaps and
-item counts current in place but discards any packed NumPy index built
-before the append.  The vectorized backend reads ``packed_index()``, so
-a mine after an append must see the grown database, never the stale
-packing.
+Each append commits a new immutable database whose big-int bitmaps and
+item counts are complete, but which has no packed NumPy index until
+something asks for one.  The vectorized backend reads
+``packed_index()``, so a mine after an append must see the grown
+database, never the previous generation's packing.
 """
 
 from __future__ import annotations

@@ -203,6 +203,47 @@ class TestTelemetryFlags:
             main(["--log-level", "LOUD"] + self.MINE + ["--input", basket_file])
 
 
+class TestTopKCommand:
+    @pytest.fixture
+    def quest_file(self, tmp_path, capsys):
+        path = str(tmp_path / "quest.dat")
+        generate = ["generate", "quest", "--output", path, "--baskets", "400"]
+        assert main(generate + ["--items", "30", "--seed", "11"]) == 0
+        capsys.readouterr()
+        return path
+
+    def test_entries_match_the_unpruned_fptree(self, quest_file, capsys):
+        import json
+
+        from repro.core.topk import entries_to_dicts
+        from repro.data.io import read_numeric_baskets
+        from repro.fptree import FPTreePairEngine
+        from repro.service import MiningService
+
+        args = ["topk", "--input", quest_file, "--numeric", "--k", "8"]
+        assert main(args + ["--min-cooccurrence", "3", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        db = read_numeric_baskets(quest_file)
+        expected = FPTreePairEngine(db).top_k(8, min_cooccurrence=3, prune=False).entries
+        assert len(expected) == 8
+        assert payload["entries"] == entries_to_dicts(expected, db.vocabulary)
+        assert (payload["k"], payload["min_cooccurrence"], payload["n_baskets"]) == (8, 3, 400)
+        service = MiningService()
+        service.append([["tea", "coffee"]])
+        assert set(service.top_k()) == set(payload) | {"generation"}
+
+        assert main(args) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("# 400 baskets, 30 items; top 8")
+        assert len(lines) == 9
+
+    def test_dropped_flags_are_rejected(self, quest_file, capsys):
+        for flag in ("--no-prune", "--telemetry"):
+            with pytest.raises(SystemExit):
+                main(["topk", "--input", quest_file, "--numeric", flag])
+        capsys.readouterr()
+
+
 class TestAprioriCommand:
     def test_prints_rules(self, basket_file, capsys):
         code = main(

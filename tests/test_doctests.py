@@ -13,6 +13,7 @@ import repro.core.correlation
 import repro.core.itemsets
 import repro.core.mining
 import repro.core.topk
+import repro.data.appendable
 import repro.data.datacube
 
 MODULES = [
@@ -21,6 +22,7 @@ MODULES = [
     repro.core.mining,
     repro.core.topk,
     repro.algorithms.chi2support,
+    repro.data.appendable,
     repro.data.datacube,
 ]
 
