@@ -76,7 +76,7 @@ def host_info() -> dict:
 def _count_with(backend: str, db, itemsets, telemetry=None):
     counter = open_backend(backend, db, telemetry=telemetry)
     try:
-        return counter.count_tables(itemsets)
+        return counter.count_cells(itemsets)
     finally:
         counter.close()
 
@@ -94,20 +94,18 @@ def _bench_level(db, level: int, telemetry=None) -> dict:
     """Time every backend on one level's candidates; verify cell equality."""
     itemsets = _level_candidates(db, level)
     timings: dict[str, float] = {}
-    tables: dict[str, dict] = {}
+    counted: dict[str, list] = {}
     for backend in BACKENDS:
         # One tiny warmup batch so lazy submodule imports and NumPy/BLAS
         # first-call setup are not billed to whichever backend runs first.
         _count_with(backend, db, itemsets[:1])
         start = time.perf_counter()
-        tables[backend] = _count_with(backend, db, itemsets, telemetry=telemetry)
+        counted[backend] = _count_with(backend, db, itemsets, telemetry=telemetry)
         timings[backend] = time.perf_counter() - start
 
-    reference = tables["single_pass"]
+    reference = counted["single_pass"]
     for backend in BACKENDS[1:]:
-        for itemset in itemsets:
-            ours = dict(tables[backend][itemset].nonzero_counts())
-            theirs = dict(reference[itemset].nonzero_counts())
+        for itemset, ours, theirs in zip(itemsets, counted[backend], reference):
             assert ours == theirs, (
                 f"{backend} disagrees with single_pass on {itemset}: "
                 f"{ours} != {theirs}"

@@ -5,8 +5,8 @@ minimally correlated):
 
 1.  Count ``O(i)`` for every item (one database pass).
 2.  Seed ``CAND`` with the item pairs that survive level-1 pruning.
-3.  For each candidate, build its contingency table.  If fewer than
-    ``p%`` of the cells have count >= ``s``, discard it (support
+3.  For each candidate, count its contingency-table cells.  If fewer
+    than ``p%`` of the cells have count >= ``s``, discard it (support
     pruning).  Otherwise compare its chi-squared value against the
     significance cutoff: correlated itemsets go to ``SIG`` (output) and
     are *not* expanded (their supersets are non-minimal — significance
@@ -21,16 +21,16 @@ so the ablation benchmarks can measure each one:
 
 * ``table_backend`` — ``"dict"`` or ``"fks"`` perfect hashing for
   NOTSIG/CAND membership;
-* ``counting`` — the table-counting backend, one of the names in
+* ``counting`` — the cell-counting backend, one of the names in
   :data:`repro.counting.BACKENDS`: ``"bitmap"`` (vertical bitmaps +
   Möbius inversion per candidate), ``"single_pass"`` (one scan per
-  level building all tables at once, the paper's alternative — and the
+  level counting every candidate at once, the paper's alternative — and the
   only option for streaming databases), ``"vectorized"`` (the NumPy
   packed-bitmap kernels of :mod:`repro.kernels`, falling back to the
   bitmap path when NumPy is missing), ``"parallel"`` (the sharded
   multi-process engine of :mod:`repro.parallel`, sized by ``workers``),
   or ``"fptree"`` (one ancestor-chain sweep of a prefix tree yields
-  every level-2 table; levels above 2 fall back to bitmaps);
+  every level-2 candidate's cells; levels above 2 fall back to bitmaps);
 * ``level1_pruning`` — toggle the special p > 0.25 pair pruning;
 * ``statistic`` — ``"chi2"`` (default) or ``"g"`` (likelihood-ratio
   G-test, an upward-closed drop-in).
@@ -43,7 +43,7 @@ from math import comb
 
 from repro.core.border import Border
 from repro.core.contingency import ContingencyTable
-from repro.core.correlation import CorrelationResult, CorrelationTest
+from repro.core.correlation import CorrelationResult, CorrelationTest, chi2_from_cells
 from repro.core.itemsets import Itemset
 from repro.core.lattice import apriori_join
 from repro.core.rules import CorrelationRule
@@ -78,7 +78,7 @@ class LevelStats:
             measured by the run's tracer; ``0.0`` when telemetry is
             disabled (the default).
         counting_seconds: the share of ``wall_seconds`` spent in the
-            level's one ``count_tables`` call (its ``mine.level.count``
+            level's one ``count_cells`` call (its ``mine.level.count``
             span); ``0.0`` when telemetry is disabled.
     """
 
@@ -264,7 +264,7 @@ class ChiSquaredSupportMiner:
         """The run, counting through ``backend`` when one is handed in.
 
         ``None`` opens the configured backend for this run and closes it
-        afterwards.  The incremental miner hands in its own table engine
+        afterwards.  The incremental miner hands in its own cell engine
         instead (which it keeps), so both miners share this loop.
         """
         rules: list[CorrelationRule] = []
@@ -318,6 +318,14 @@ class ChiSquaredSupportMiner:
         k = db.n_items
         level = 2
         examined = 0
+        cutoff = self.test.cutoff
+        support = self.support
+        item_counts = db.item_counts()
+        n = db.n_baskets
+        # Candidates are decided on their cells; a table is built only for
+        # SIG, or for every supported candidate when the statistic reads
+        # one (the G statistic, §3.3's small-cell policy).
+        needs_table = self.statistic_name != "chi2" or self.test.min_expected_cell > 0.0
         tracer = self.telemetry.tracer
         metrics = self.telemetry.metrics
         while candidates and (self.max_level is None or level <= self.max_level):
@@ -332,17 +340,25 @@ class ChiSquaredSupportMiner:
                 with tracer.span(
                     "mine.level.count", backend=self.counting, candidates=n_candidates
                 ) as count_span:
-                    tables = backend.count_tables(candidates)
+                    counted = backend.count_cells(candidates)
 
                 examined += n_candidates
-                cutoff = self.test.cutoff
-                for candidate in candidates:
-                    table = tables[candidate]
-                    if not self.support(table):
+                for candidate, cells in zip(candidates, counted, strict=True):
+                    items = candidate.items
+                    if not support.supports_cells(cells, len(items)):
                         discarded += 1
                         continue
-                    stat = self._statistic(table)
+                    table = None
+                    if needs_table:
+                        table = ContingencyTable.from_cell_counts(candidate, cells, n)
+                        stat = self._statistic(table)
+                    else:
+                        stat = chi2_from_cells(
+                            cells, [item_counts[item] for item in items], n
+                        )
                     if stat >= cutoff:
+                        if table is None:
+                            table = ContingencyTable.from_cell_counts(candidate, cells, n)
                         rule = CorrelationRule(
                             itemset=candidate,
                             result=self._result_for(table, stat),

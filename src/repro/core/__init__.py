@@ -10,12 +10,13 @@ from repro.core.categorical import (
 from repro.core.contingency import (
     ContingencyTable,
     ExpectedValueValidity,
-    count_tables_single_pass,
+    count_cells_single_pass,
 )
 from repro.core.correlation import (
     CorrelationResult,
     CorrelationTest,
     RobustResult,
+    chi2_from_cells,
     chi_squared,
     chi_squared_dense,
     chi_squared_ignoring_small_cells,
@@ -48,10 +49,11 @@ __all__ = [
     "categorical_chi_squared_test",
     "ContingencyTable",
     "ExpectedValueValidity",
-    "count_tables_single_pass",
+    "count_cells_single_pass",
     "CorrelationResult",
     "CorrelationTest",
     "RobustResult",
+    "chi2_from_cells",
     "chi_squared",
     "chi_squared_dense",
     "chi_squared_ignoring_small_cells",

@@ -19,8 +19,8 @@ construction strategies are provided:
   bitmaps and a superset Möbius inversion to obtain exact cell counts
   from ``2^k`` intersection popcounts (fast for the small itemsets a
   level-wise miner visits);
-* :func:`count_tables_single_pass` implements the paper's alternative of
-  one pass over the database per level, filling many tables at once.
+* :func:`count_cells_single_pass` implements the paper's alternative of
+  one pass over the database per level, counting many itemsets at once.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ __all__ = [
     "ContingencyTable",
     "ExpectedValueValidity",
     "count_cells",
-    "count_tables_single_pass",
+    "count_cells_single_pass",
 ]
 
 # Above this many items, the Möbius/bitmap construction (which touches
@@ -117,8 +117,7 @@ class ContingencyTable:
 
         Bypasses the public constructor's validation: counts produced by
         the counting kernels are sound by construction, and the table
-        marginals are exactly the database item counts.  This is the
-        miner's hottest allocation site.
+        marginals are exactly the database item counts.
         """
         counts = count_cells(db, itemset)
         table = object.__new__(cls)
@@ -130,35 +129,13 @@ class ContingencyTable:
         return table
 
     @classmethod
-    def _from_parts(
-        cls,
-        itemset: Itemset,
-        occupied: dict[int, float],
-        marginals: tuple[float, ...],
-        n: float,
-    ) -> "ContingencyTable":
-        """Trusted assembly from precomputed parts — no validation, no copies.
-
-        The hot construction path shared by every counting kernel:
-        ``occupied`` must hold only non-zero cells and ``marginals`` must
-        equal the per-item occurrence counts.  Callers own both
-        invariants (they hold by construction for kernel output).
-        """
-        table = object.__new__(cls)
-        table._itemset = itemset
-        table._n = n
-        table._counts = occupied
-        table._marginals = marginals
-        return table
-
-    @classmethod
     def from_cell_counts(
         cls, itemset: Itemset, cells: Mapping[int, int], n: float
     ) -> "ContingencyTable":
-        """Assemble a table from exact kernel counts over a whole database.
+        """Assemble a table from exact counted cells over a whole database.
 
-        The shared fast construction path behind the vectorized kernels
-        and the parallel engine's shard merge: bypasses the validating
+        How the miner builds the table of an itemset entering SIG from
+        any counting backend's cells: bypasses the validating
         constructor (counts from the counting kernels are sound by
         construction) and derives the marginals from the cells, so every
         backend produces identical tables.
@@ -174,7 +151,12 @@ class ContingencyTable:
             for j in range(k):
                 if (cell >> j) & 1:
                     marginals[j] += count
-        return cls._from_parts(itemset, occupied, tuple(marginals), n)
+        table = object.__new__(cls)
+        table._itemset = itemset
+        table._n = n
+        table._counts = occupied
+        table._marginals = tuple(marginals)
+        return table
 
     @classmethod
     def from_percentages(
@@ -308,28 +290,12 @@ class ContingencyTable:
         Every expectation is a product of the k marginal factors, so the
         full ``2^k`` spectrum is built by doubling from the marginal
         probabilities — ``O(2^k)`` multiplications total instead of
-        ``2^k`` Python :meth:`expected` calls of k multiplications each,
-        and vectorized once the table is wide enough to amortise NumPy
-        call overhead.  The factor order matches :meth:`expected`, so
-        results are bit-identical to the per-cell evaluation.
+        ``2^k`` Python :meth:`expected` calls of k multiplications each.
+        The factor order matches :meth:`expected`, so results are
+        bit-identical to the per-cell evaluation.
         """
-        n = self._n
-        probabilities = self.marginal_probabilities()
-        if self.n_cells >= 512:
-            try:
-                import numpy as np
-            except ImportError:
-                np = None
-            if np is not None:
-                expected = np.array([n], dtype=float)
-                for p in probabilities:
-                    expected = np.concatenate([expected * (1.0 - p), expected * p])
-                return ExpectedValueValidity(
-                    min_expected=float(expected.min()),
-                    fraction_above_five=int((expected > 5.0).sum()) / self.n_cells,
-                )
-        expected_list = [float(n)]
-        for p in probabilities:
+        expected_list = [float(self._n)]
+        for p in self.marginal_probabilities():
             expected_list = [e * (1.0 - p) for e in expected_list] + [
                 e * p for e in expected_list
             ]
@@ -507,10 +473,10 @@ def _cells_by_scan(db: BasketDatabase, itemset: Itemset) -> dict[int, int]:
     return counts
 
 
-def count_tables_single_pass(
+def count_cells_single_pass(
     db: BasketDatabase, itemsets: Iterable[Itemset]
-) -> dict[Itemset, ContingencyTable]:
-    """Build contingency tables for many itemsets in one database pass.
+) -> list[dict[int, int]]:
+    """Exact sparse cells for many itemsets in one database pass.
 
     This is the strategy §4 of the paper describes for a level-wise
     miner: "make one pass over the database at each level, constructing
@@ -518,6 +484,7 @@ def count_tables_single_pass(
     from items to the candidate itemsets containing them confines the
     per-basket work to candidates the basket actually intersects; the
     all-absent cell is recovered from the total count afterwards.
+    Results align with ``itemsets``.
     """
     itemsets = list(itemsets)
     bit_of: dict[Itemset, dict[int, int]] = {}
@@ -537,16 +504,13 @@ def count_tables_single_pass(
                 patterns[s] = patterns.get(s, 0) | bit_of[s][item]
         # replint: disable=RPR003 -- integer increments only; addition is exact, order cannot change the counts
         for s, cell in patterns.items():
-            table = counts[s]
-            table[cell] = table.get(cell, 0) + 1
+            cells = counts[s]
+            cells[cell] = cells.get(cell, 0) + 1
             touched_total[s] += 1
 
     n = db.n_baskets
-    result: dict[Itemset, ContingencyTable] = {}
     for s in itemsets:
-        cells = counts[s]
         remainder = n - touched_total[s]
         if remainder:
-            cells[0] = remainder
-        result[s] = ContingencyTable(s, cells, n=n)
-    return result
+            counts[s][0] = remainder
+    return [counts[s] for s in itemsets]

@@ -20,6 +20,7 @@ tables) and with the rule-of-thumb validity diagnostics of §3.3.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from repro.core.contingency import ContingencyTable, ExpectedValueValidity
@@ -27,6 +28,7 @@ from repro.stats import chi2 as chi2_dist
 from repro.stats.criticals import critical_value
 
 __all__ = [
+    "chi2_from_cells",
     "chi_squared_dense",
     "chi_squared_sparse",
     "chi_squared",
@@ -38,45 +40,47 @@ __all__ = [
 ]
 
 
-def chi_squared_dense(table: ContingencyTable) -> float:
-    """Full-table chi-squared sum over all ``2^k`` cells.
+_DEGENERATE = (
+    "observed count in a cell with zero expectation; "
+    "the independence model is degenerate for this table"
+)
+
+
+def _dense_sum(
+    cells: Mapping[int, float], probabilities: Sequence[float], n: float
+) -> float:
+    """The full-table sum over all ``2^k`` cells, in ascending cell order.
 
     The expected-value spectrum is built by doubling from the marginal
-    probabilities — ``O(2^k)`` multiplications total instead of a
-    k-multiplication :meth:`~ContingencyTable.expected` call per cell —
-    with the factor order of the per-cell evaluation preserved exactly
-    (the same precedent as :meth:`ContingencyTable.validity`), so the
-    statistic is bit-identical to the naive sum.  Cells are visited in
-    ascending index order, matching :func:`chi_squared_sparse`'s
-    canonical summation order.
-
+    probabilities — ``O(2^k)`` multiplications total instead of k per
+    cell — with the factor order of the per-cell evaluation preserved
+    exactly (the same precedent as :meth:`ContingencyTable.validity`).
     Cells whose expected value is zero are skipped when their observed
     count is also zero (a structural zero — an item occurring in every
     basket or in none — contributes nothing); a positive observation
     with zero expectation is a degenerate table and raises.
     """
-    expected_list = [float(table.n)]
-    for p in table.marginal_probabilities():
+    expected_list = [float(n)]
+    for p in probabilities:
         expected_list = [e * (1.0 - p) for e in expected_list] + [
             e * p for e in expected_list
         ]
     total = 0.0
     for cell, expected in enumerate(expected_list):
-        observed = table.observed(cell)
+        observed = cells.get(cell, 0)
         if expected == 0.0:
             if observed:
-                raise ZeroDivisionError(
-                    "observed count in a cell with zero expectation; "
-                    "the independence model is degenerate for this table"
-                )
+                raise ZeroDivisionError(_DEGENERATE)
             continue
         deviation = observed - expected
         total += deviation * deviation / expected
     return total
 
 
-def chi_squared_sparse(table: ContingencyTable) -> float:
-    """Occupied-cells-only chi-squared via the paper's massaged formula.
+def _sparse_sum(
+    cells: Mapping[int, float], probabilities: Sequence[float], n: float
+) -> float:
+    """The paper's massaged formula over the occupied cells only.
 
     Cells are visited in ascending index order: float addition is not
     associative, and the occupied-cell dict's insertion order differs
@@ -85,41 +89,63 @@ def chi_squared_sparse(table: ContingencyTable) -> float:
     the statistic bit-identical across all of them — which the
     differential backend-equivalence suite asserts.
     """
-    n = table.n
-    probabilities = table.marginal_probabilities()
     k = len(probabilities)
     total = 0.0
-    counts = table.nonzero_counts()
-    for cell in sorted(counts):
-        observed = counts[cell]
+    for cell in sorted(cells):
+        observed = cells[cell]
         expected = n
         for j in range(k):
             p = probabilities[j]
             expected *= p if (cell >> j) & 1 else 1.0 - p
         if expected == 0.0:
-            raise ZeroDivisionError(
-                "observed count in a cell with zero expectation; "
-                "the independence model is degenerate for this table"
-            )
+            raise ZeroDivisionError(_DEGENERATE)
         total += observed * (observed - 2.0 * expected) / expected
     # sum_r E[r] = n except for probability mass that the independence
     # model places on structurally impossible patterns; for tables built
     # from a real database the marginals make that mass zero.  The
     # rearranged sum can cancel to a tiny negative value for a perfectly
     # independent table; clamp it, the statistic is non-negative.
-    return max(total + table.n, 0.0)
+    return max(total + n, 0.0)
+
+
+def chi2_from_cells(
+    cells: Mapping[int, float], marginals: Sequence[float], n: float
+) -> float:
+    """The chi-squared statistic of one itemset from its counted cells.
+
+    ``cells`` maps each *occupied* cell (non-zero count) to its count,
+    exactly as every counting backend returns them; ``marginals`` are
+    the k item occurrence counts in itemset order and ``n`` the number
+    of baskets.  The one recipe behind :func:`chi_squared` and the
+    miner's decision loop: the sparse formula when some cell is empty,
+    exactly as the paper's ``O(min(n, 2^i))`` analysis prescribes, the
+    full-table sum otherwise.
+    """
+    probabilities = [m / n for m in marginals]
+    if len(cells) < 1 << len(probabilities):
+        return _sparse_sum(cells, probabilities, n)
+    return _dense_sum(cells, probabilities, n)
+
+
+def chi_squared_dense(table: ContingencyTable) -> float:
+    """Full-table chi-squared sum over all ``2^k`` cells.
+
+    The textbook form, bit-identical to summing
+    ``(O(r) - E[r])^2 / E[r]`` with :meth:`~ContingencyTable.expected`
+    per cell in ascending cell order.
+    """
+    return _dense_sum(table.nonzero_counts(), table.marginal_probabilities(), table.n)
+
+
+def chi_squared_sparse(table: ContingencyTable) -> float:
+    """Occupied-cells-only chi-squared via the paper's massaged formula."""
+    return _sparse_sum(table.nonzero_counts(), table.marginal_probabilities(), table.n)
 
 
 def chi_squared(table: ContingencyTable) -> float:
-    """Chi-squared statistic, choosing the cheaper evaluation.
-
-    Uses the sparse formula when the table has fewer occupied cells than
-    total cells, exactly as the paper's ``O(min(n, 2^i))`` analysis
-    prescribes.
-    """
-    if table.n_occupied < table.n_cells:
-        return chi_squared_sparse(table)
-    return chi_squared_dense(table)
+    """Chi-squared statistic of a table, via :func:`chi2_from_cells`."""
+    marginals = [table.marginal(j) for j in range(table.n_items)]
+    return chi2_from_cells(table.nonzero_counts(), marginals, table.n)
 
 
 def chi_squared_ignoring_small_cells(
@@ -143,10 +169,7 @@ def chi_squared_ignoring_small_cells(
             continue
         if expected == 0.0:
             if observed:
-                raise ZeroDivisionError(
-                    "observed count in a cell with zero expectation; "
-                    "the independence model is degenerate for this table"
-                )
+                raise ZeroDivisionError(_DEGENERATE)
             continue
         deviation = observed - expected
         total += deviation * deviation / expected

@@ -168,14 +168,14 @@ def compare_frameworks(
 # -- incremental mining --------------------------------------------------------
 
 
-class _IncrementalTableEngine:
-    """Serves the grown generation's contingency tables from cumulative cells.
+class _IncrementalCellEngine:
+    """Serves the grown generation's cells from the previous generation's.
 
     Handed to :class:`~repro.algorithms.chi2support.ChiSquaredSupportMiner`
     as the run's counting backend, so the *decision cascade* (support
     test, statistic, border updates, candidate join) is the batch
     miner's own code — the only thing incremental about the run is where
-    the tables come from:
+    the cells come from:
 
     * itemsets counted at the previous generation add the delta's cells
       (counted over the small delta-only database) to their stored cells;
@@ -188,10 +188,7 @@ class _IncrementalTableEngine:
 
     Every count goes through :func:`~repro.core.contingency.count_cells`;
     no registry backend runs inside an append.  All cells are exact
-    integers and every table goes through
-    :meth:`ContingencyTable.from_cell_counts` — the same canonical-order
-    marginal derivation every batch backend uses — so the tables, and
-    therefore every decision made on them, are bit-identical to a cold
+    integers, so every decision made on them is bit-identical to a cold
     batch mine on any backend.
     """
 
@@ -216,14 +213,13 @@ class _IncrementalTableEngine:
         """Exact sparse cells of each itemset over ``db``."""
         return {itemset: count_cells(db, itemset) for itemset in itemsets}
 
-    def count_tables(self, candidates: Sequence[Itemset]) -> dict[Itemset, ContingencyTable]:
+    def count_cells(self, candidates: Sequence[Itemset]) -> list[dict[int, int]]:
         fresh = [c for c in candidates if c not in self._cached]
         wide = [c for c in fresh if len(c) > _MAX_DENSE_ITEMS]
         grown = self._count(self.db, [c for c in fresh if len(c) <= _MAX_DENSE_ITEMS])
         base = self._count(self._base_db, wide)
         delta = self._count(self._delta_db, [c for c in candidates if c not in grown])
-        n = self.db.n_baskets
-        tables: dict[Itemset, ContingencyTable] = {}
+        counted: list[dict[int, int]] = []
         for candidate in candidates:
             cells = grown.get(candidate)
             if cells is None:
@@ -232,10 +228,10 @@ class _IncrementalTableEngine:
                 for cell, count in delta[candidate].items():
                     cells[cell] = cells.get(cell, 0) + count
             self.new_cells[candidate] = cells
-            tables[candidate] = ContingencyTable.from_cell_counts(candidate, cells, n)
+            counted.append(cells)
         self.served += len(candidates) - len(fresh)
         self.recounted += len(fresh)
-        return tables
+        return counted
 
 
 @dataclass(slots=True)
@@ -269,8 +265,8 @@ class IncrementalMiner:
     Every generation is an immutable :class:`BasketDatabase`.  Each
     :meth:`append` builds the next one with
     :func:`~repro.data.appendable.extend`, re-runs the Figure 1 decision
-    cascade on it (serving tables incrementally — see
-    :class:`_IncrementalTableEngine`), and only then commits: it extends
+    cascade on it (serving cells incrementally — see
+    :class:`_IncrementalCellEngine`), and only then commits: it extends
     the shared basket log and swaps references.  A counting failure
     mid-append therefore leaves the previous generation current, and no
     generation ever changes once built.
@@ -342,7 +338,7 @@ class IncrementalMiner:
         """Append baskets, update the border, and report what changed.
 
         Phase A (fallible, zero mutation): build the grown generation and
-        run the full decision cascade on it with tables served
+        run the full decision cascade on it with cells served
         incrementally.  Phase B (infallible): extend the basket log and
         swap in the new generation, cell store and result.  Any
         exception during phase A leaves the previous generation exactly
@@ -363,7 +359,7 @@ class IncrementalMiner:
                 new_items=(),
                 result=self._result,
             )
-        engine = _IncrementalTableEngine(db, old_db, delta, self._cells)
+        engine = _IncrementalCellEngine(db, old_db, delta, self._cells)
         from repro.algorithms.chi2support import ChiSquaredSupportMiner
 
         miner = ChiSquaredSupportMiner(

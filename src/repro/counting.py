@@ -1,21 +1,24 @@
 """The counting-backend registry (`repro.counting`).
 
 Figure 1 of the paper needs one thing from its counting layer: the
-contingency table of every candidate at a level.  §4 names two ways to
-get them — per-candidate vertical bitmaps, or one database pass per
-level — and the repository adds three more.  Each is a
-:class:`CountingBackend`: ``count_tables(candidates)`` returns one
-table per candidate, ``close()`` releases whatever the backend holds
-(a worker pool, a shared-memory segment).  :data:`BACKENDS` maps every
-backend name to its factory; the batch miner, the CLI and the tests
-all read their backend list from it.  The incremental miner counts
-through none of them: an append sums exact cells from
+contingency-table cells of every candidate at a level.  §4 names two
+ways to get them — per-candidate vertical bitmaps, or one database pass
+per level — and the repository adds three more.  Each is a
+:class:`CountingBackend`: ``count_cells(candidates)`` returns the exact
+sparse cells (cell index -> non-zero integer count) of every candidate,
+aligned with ``candidates``; ``close()`` releases whatever the backend
+holds (a worker pool, a shared-memory segment).  The miner decides on
+the cells and builds a :class:`~repro.core.contingency.ContingencyTable`
+only for the itemsets it reports.  :data:`BACKENDS` maps every backend
+name to its factory; the batch miner, the CLI and the tests all read
+their backend list from it.  The incremental miner counts through none
+of them: an append sums exact cells from
 :func:`~repro.core.contingency.count_cells`.
 
 * ``bitmap`` — per-candidate bitmap intersection plus Möbius inversion
-  (:meth:`ContingencyTable.from_database`);
-* ``single_pass`` — one scan per level building every table at once,
-  the paper's alternative and the only option for streaming data;
+  (:func:`~repro.core.contingency.count_cells`);
+* ``single_pass`` — one scan per level counting every candidate at
+  once, the paper's alternative and the only option for streaming data;
 * ``vectorized`` — the NumPy packed-bitmap kernels of
   :mod:`repro.kernels` (pure-Python fallback without NumPy);
 * ``parallel`` — the sharded multi-process engine of
@@ -23,7 +26,7 @@ through none of them: an append sums exact cells from
 * ``fptree`` — one ancestor-chain sweep of an FP-tree for the pairs,
   bitmaps above level 2 (:mod:`repro.fptree`).
 
-Every backend produces bit-identical tables; the differential
+Every backend produces bit-identical cells; the differential
 backend-equivalence suite holds them to that.
 """
 
@@ -32,7 +35,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING, Protocol
 
-from repro.core.contingency import ContingencyTable, count_tables_single_pass
+from repro.core.contingency import count_cells, count_cells_single_pass
 from repro.core.itemsets import Itemset
 from repro.obs import NULL_TELEMETRY
 
@@ -46,10 +49,8 @@ __all__ = ["BACKENDS", "CountingBackend", "check_backend", "open_backend"]
 class CountingBackend(Protocol):
     """What the miners need from a counting strategy."""
 
-    def count_tables(
-        self, candidates: Sequence[Itemset]
-    ) -> dict[Itemset, ContingencyTable]:
-        """The contingency table of every candidate, keyed by itemset."""
+    def count_cells(self, candidates: Sequence[Itemset]) -> list[dict[int, int]]:
+        """The exact sparse cells of every candidate, aligned with ``candidates``."""
         ...
 
     def close(self) -> None:
@@ -63,14 +64,9 @@ class _BitmapBackend:
     def __init__(self, db: "BasketDatabase", *, workers=None, telemetry=None) -> None:
         self.db = db
 
-    def count_tables(
-        self, candidates: Sequence[Itemset]
-    ) -> dict[Itemset, ContingencyTable]:
+    def count_cells(self, candidates: Sequence[Itemset]) -> list[dict[int, int]]:
         db = self.db
-        return {
-            candidate: ContingencyTable.from_database(db, candidate)
-            for candidate in candidates
-        }
+        return [count_cells(db, candidate) for candidate in candidates]
 
     def close(self) -> None:
         return None
@@ -79,10 +75,8 @@ class _BitmapBackend:
 class _SinglePassBackend(_BitmapBackend):
     """One database pass per level (§4's alternative)."""
 
-    def count_tables(
-        self, candidates: Sequence[Itemset]
-    ) -> dict[Itemset, ContingencyTable]:
-        return count_tables_single_pass(self.db, candidates)
+    def count_cells(self, candidates: Sequence[Itemset]) -> list[dict[int, int]]:
+        return count_cells_single_pass(self.db, candidates)
 
 
 class _VectorizedBackend:
@@ -92,12 +86,10 @@ class _VectorizedBackend:
         self.db = db
         self.metrics = (telemetry if telemetry is not None else NULL_TELEMETRY).metrics
 
-    def count_tables(
-        self, candidates: Sequence[Itemset]
-    ) -> dict[Itemset, ContingencyTable]:
-        from repro.kernels import count_tables_vectorized
+    def count_cells(self, candidates: Sequence[Itemset]) -> list[dict[int, int]]:
+        from repro.kernels import count_cells_batch
 
-        return count_tables_vectorized(self.db, candidates, metrics=self.metrics)
+        return count_cells_batch(self.db, candidates, metrics=self.metrics)
 
     def close(self) -> None:
         return None

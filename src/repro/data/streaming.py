@@ -10,7 +10,7 @@ touches the database — the NOTSIG/CAND tables hold itemsets, not
 baskets, and stay small.  So the algorithm runs unmodified over a
 database that never resides in memory, provided counting uses the
 one-pass-per-level strategy (§4's own alternative,
-:func:`repro.core.contingency.count_tables_single_pass`) instead of the
+:func:`repro.core.contingency.count_cells_single_pass`) instead of the
 vertical bitmap index.
 
 :class:`StreamingBasketDatabase` is that source: backed by a basket

@@ -2,13 +2,13 @@
 
 Two modes, both exact:
 
-* :meth:`FPTreePairEngine.count_tables` — a drop-in counting backend
+* :meth:`FPTreePairEngine.count_cells` — a drop-in counting backend
   for the level-wise miner.  One ancestor-chain sweep over the tree
   yields every pair's co-occurrence count; the four ``2x2`` cells
-  follow from the item marginals, so each level-2 contingency table is
-  assembled without touching the baskets again.  (Higher levels fall
-  back to the bitmap construction — the FP-tree argument is about the
-  pair level, which is where the candidate count explodes.)
+  follow from the item marginals, so each level-2 candidate is counted
+  without touching the baskets again.  (Higher levels fall back to the
+  bitmap kernels — the FP-tree argument is about the pair level, which
+  is where the candidate count explodes.)
 
 * :meth:`FPTreePairEngine.top_k` — the K strongest pair correlations
   under a branch-and-bound prune.  The chi-squared statistic of a pair
@@ -41,7 +41,7 @@ from bisect import insort
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.core.contingency import ContingencyTable
+from repro.core.contingency import ContingencyTable, count_cells
 from repro.core.correlation import chi_squared
 from repro.core.itemsets import Itemset, ItemVocabulary
 from repro.core.topk import (
@@ -263,30 +263,26 @@ class FPTreePairEngine:
         self._cooccurrence = cooccurrence
         return cooccurrence
 
-    def count_tables(self, candidates: Sequence[Itemset]) -> dict[Itemset, ContingencyTable]:
-        """Contingency tables for ``candidates`` (the counting-backend API).
+    def count_cells(self, candidates: Sequence[Itemset]) -> list[dict[int, int]]:
+        """Exact sparse cells of ``candidates`` (the counting-backend API).
 
-        Pairs are assembled from the sweep's co-occurrence counts and
-        the item marginals — including pairs that never co-occur, whose
+        Pairs follow from the sweep's co-occurrence counts and the item
+        marginals — including pairs that never co-occur, whose
         full-presence cell is simply zero.  Wider itemsets fall back to
-        the bitmap construction: the FP-tree speedup targets level 2.
+        the bitmap kernels: the FP-tree speedup targets level 2.
         """
         counts = self._counts
         n = self.db.n_baskets
-        tables: dict[Itemset, ContingencyTable] = {}
-        pairs = [candidate for candidate in candidates if len(candidate) == 2]
-        if pairs:
-            cooccurrence = self.pair_cooccurrence()
-            for candidate in pairs:
-                first, second = candidate.items
-                both = cooccurrence.get((first, second), 0)
-                tables[candidate] = ContingencyTable.from_cell_counts(
-                    candidate, _pair_cells(n, counts[first], counts[second], both), n
-                )
+        counted: list[dict[int, int]] = []
         for candidate in candidates:
             if len(candidate) != 2:
-                tables[candidate] = ContingencyTable.from_database(self.db, candidate)
-        return tables
+                counted.append(count_cells(self.db, candidate))
+                continue
+            first, second = candidate.items
+            both = self.pair_cooccurrence().get((first, second), 0)
+            cells = _pair_cells(n, counts[first], counts[second], both)
+            counted.append({cell: count for cell, count in cells.items() if count})
+        return counted
 
     # -- top-K branch-and-bound ----------------------------------------------
 

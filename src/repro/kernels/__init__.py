@@ -227,92 +227,14 @@ def count_tables_vectorized(
 ) -> dict[Itemset, ContingencyTable]:
     """Contingency tables for a batch of itemsets via the vectorized kernels.
 
-    The per-level call the miner's ``counting="vectorized"`` backend
-    makes — the vectorized analogue of
-    :func:`repro.core.contingency.count_tables_single_pass`.  Tables are
-    assembled straight from the sweep's cell columns (marginals come
-    from the index's item counts), skipping the intermediate dict pass
-    the shard wire format needs.  ``metrics`` records per-itemset
-    ``kernel_dispatch`` counters exactly as :func:`count_cells_batch`
-    does.
+    :func:`count_cells_batch`'s cells, each assembled with
+    :meth:`ContingencyTable.from_cell_counts` — for callers that want
+    table objects; the miner itself decides on the cells.
     """
     itemsets = list(itemsets)
     n = db.n_baskets
-    dispatch = _dispatch_recorder(metrics)
-    if not HAS_NUMPY:
-        dispatch("fallback", len(itemsets))
-        return {
-            itemset: ContingencyTable.from_database(db, itemset)
-            for itemset in itemsets
-        }
-    from repro.kernels.sweep import pair_cell_columns, triple_cell_columns
-
-    index = db.packed_index()
-    tables: dict[Itemset, ContingencyTable] = {}
-    pair_group: list[Itemset] = []
-    triple_group: list[Itemset] = []
-    other_group: list[Itemset] = []
-    for itemset in itemsets:
-        k = len(itemset)
-        if k == 2:
-            pair_group.append(itemset)
-        elif k == 3:
-            triple_group.append(itemset)
-        else:
-            other_group.append(itemset)
-
-    if pair_group:
-        dispatch("gram", len(pair_group))
-        both, only_a, only_b, neither, count_a, count_b = pair_cell_columns(
-            index, [itemset.items for itemset in pair_group]
-        )
-        columns = zip(
-            pair_group,
-            both.tolist(),
-            only_a.tolist(),
-            only_b.tolist(),
-            neither.tolist(),
-            count_a.tolist(),
-            count_b.tolist(),
-        )
-        for itemset, c11, c01, c10, c00, ca, cb in columns:
-            cells: dict[int, float] = {}
-            if c11:
-                cells[0b11] = c11
-            if c01:
-                cells[0b01] = c01
-            if c10:
-                cells[0b10] = c10
-            if c00:
-                cells[0b00] = c00
-            tables[itemset] = ContingencyTable._from_parts(
-                itemset, cells, (float(ca), float(cb)), n
-            )
-    if triple_group:
-        dispatch("gram", len(triple_group))
-        cell_columns, (n_a, n_b, n_c) = triple_cell_columns(
-            index, [itemset.items for itemset in triple_group]
-        )
-        listed = [(cell, column.tolist()) for cell, column in cell_columns.items()]
-        marginal_rows = zip(n_a.tolist(), n_b.tolist(), n_c.tolist())
-        for i, (itemset, marginals) in enumerate(zip(triple_group, marginal_rows)):
-            cells = {}
-            for cell, column in listed:
-                count = column[i]
-                if count:
-                    cells[cell] = count
-            tables[itemset] = ContingencyTable._from_parts(
-                itemset, cells, tuple(map(float, marginals)), n
-            )
-    if other_group:
-        cell_batches = count_cells_batch(db, other_group, metrics=metrics)
-        for itemset, cells in zip(other_group, cell_batches):
-            marginals = tuple(
-                float(index.counts[item]) for item in itemset.items
-            )
-            tables[itemset] = ContingencyTable._from_parts(
-                itemset, cells, marginals, n
-            )
-    if len(tables) != len(itemsets):  # preserve input order on mixed batches
-        return {itemset: tables[itemset] for itemset in itemsets}
-    return tables
+    counted = count_cells_batch(db, itemsets, metrics=metrics)
+    return {
+        itemset: ContingencyTable.from_cell_counts(itemset, cells, n)
+        for itemset, cells in zip(itemsets, counted)
+    }

@@ -27,9 +27,7 @@ __all__ = [
     "CHUNK_WORDS",
     "count_pairs_batch",
     "count_triples_batch",
-    "pair_cell_columns",
     "pair_supports",
-    "triple_cell_columns",
 ]
 
 # Upper bound on uint64 words materialised per intermediate array.
@@ -61,9 +59,13 @@ def _chunked_and_popcount(index: PackedBitmapIndex, id_arrays, out) -> None:
         out[start:stop] = popcount(block).sum(axis=1, dtype=np.int64)
 
 
-def _sparse(cells_and_counts) -> dict[int, int]:
-    """Drop zero cells, matching the sparse dicts of the Python kernels."""
-    return {cell: count for cell, count in cells_and_counts if count}
+def _sparse_rows(cell_ids, rows) -> list[dict[int, int]]:
+    """One sparse cell dict per row of counts, zero cells dropped.
+
+    ``rows`` holds each candidate's counts in ``cell_ids`` order; the
+    dicts match the sparse dicts of the Python kernels.
+    """
+    return [{cell: count for cell, count in zip(cell_ids, row) if count} for row in rows]
 
 
 def _gram_supports(index: PackedBitmapIndex, ids) -> "np.ndarray":
@@ -114,53 +116,40 @@ def pair_supports(index: PackedBitmapIndex, ids) -> "np.ndarray":
     return both
 
 
-def pair_cell_columns(index: PackedBitmapIndex, pairs):
-    """All four contingency cells of every pair, as int64 columns.
+def count_pairs_batch(
+    index: PackedBitmapIndex, pairs
+) -> list[dict[int, int]]:
+    """Sparse 4-cell counts for a batch of item pairs, one vectorized pass.
 
-    ``pairs`` is a sequence of ``(a, b)`` id tuples.  The batched sweep
-    gives the both-present cell for every pair; the other three cells
-    follow from the item marginals in closed form:
-
+    The batched sweep gives the both-present cell for every pair; the
+    other three cells follow from the item marginals in closed form:
     ``O(a ~b) = O(a) - O(ab)``, ``O(~a b) = O(b) - O(ab)``,
     ``O(~a ~b) = n - O(a) - O(b) + O(ab)``.
-
-    Returns ``(both, only_a, only_b, neither, count_a, count_b)``.
     """
+    if len(pairs) == 0:
+        return []
     ids = np.asarray(pairs, dtype=np.intp).reshape(len(pairs), 2)
     both = pair_supports(index, ids)
     count_a = index.counts[ids[:, 0]]
     count_b = index.counts[ids[:, 1]]
-    n = index.n_baskets
     only_a = count_a - both
     only_b = count_b - both
-    neither = n - count_a - count_b + both
-    return both, only_a, only_b, neither, count_a, count_b
+    neither = index.n_baskets - count_a - count_b + both
+    rows = zip(both.tolist(), only_a.tolist(), only_b.tolist(), neither.tolist())
+    return _sparse_rows((0b11, 0b01, 0b10, 0b00), rows)
 
 
-def count_pairs_batch(
-    index: PackedBitmapIndex, pairs
+def count_triples_batch(
+    index: PackedBitmapIndex, triples
 ) -> list[dict[int, int]]:
-    """Sparse 4-cell counts for a batch of item pairs, one vectorized pass."""
-    if len(pairs) == 0:
-        return []
-    both, only_a, only_b, neither, _, _ = pair_cell_columns(index, pairs)
-    return [
-        _sparse(((0b11, c11), (0b01, c01), (0b10, c10), (0b00, c00)))
-        for c11, c01, c10, c00 in zip(
-            both.tolist(), only_a.tolist(), only_b.tolist(), neither.tolist()
-        )
-    ]
-
-
-def triple_cell_columns(index: PackedBitmapIndex, triples):
-    """All eight contingency cells of every triple, as int64 columns.
+    """Sparse 8-cell counts for a batch of item triples.
 
     One batched pair sweep (ab, ac, bc stacked), one 3-way AND +
     popcount pass (abc), and the same inclusion-exclusion fill as the
     pure-Python ``_cells_triple``.
-    Returns ``(cells, marginal_columns)`` where ``cells`` maps cell
-    index to its column and ``marginal_columns`` is ``(n_a, n_b, n_c)``.
     """
+    if len(triples) == 0:
+        return []
     n_triples = len(triples)
     ids = np.asarray(triples, dtype=np.intp).reshape(n_triples, 3)
     a, b, c = ids[:, 0], ids[:, 1], ids[:, 2]
@@ -189,18 +178,5 @@ def triple_cell_columns(index: PackedBitmapIndex, triples):
         0b100: n_c - n_ac - n_bc + n_abc,
         0b000: n - n_a - n_b - n_c + n_ab + n_ac + n_bc - n_abc,
     }
-    return cells, (n_a, n_b, n_c)
-
-
-def count_triples_batch(
-    index: PackedBitmapIndex, triples
-) -> list[dict[int, int]]:
-    """Sparse 8-cell counts for a batch of item triples."""
-    if len(triples) == 0:
-        return []
-    cells, _ = triple_cell_columns(index, triples)
-    columns = {cell: values.tolist() for cell, values in cells.items()}
-    return [
-        _sparse((cell, columns[cell][i]) for cell in cells)
-        for i in range(len(triples))
-    ]
+    rows = zip(*(column.tolist() for column in cells.values()))
+    return _sparse_rows(tuple(cells), rows)

@@ -21,6 +21,7 @@ cannot be combined with the chi-squared test, which the miner enforces.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from repro.core.contingency import ContingencyTable
@@ -53,21 +54,29 @@ class CellSupport:
             raise ValueError(f"support fraction must be in (0, 1], got {self.fraction}")
 
     def __call__(self, table: ContingencyTable) -> bool:
-        """True when >= ``fraction`` of the cells have count >= ``count``.
+        """True when >= ``fraction`` of the table's cells have count >= ``count``."""
+        return self.supports_cells(table.nonzero_counts(), table.n_items)
+
+    def supports_cells(self, cells: Mapping[int, float], n_items: int) -> bool:
+        """The support test on an itemset's occupied cells.
 
         "At least p% of the cells": compared against the exact real
-        threshold, counting a cell iff its count reaches s.
+        threshold ``fraction * 2^k``, counting a cell iff its count
+        reaches s.
         """
-        needed = self.fraction * table.n_cells
-        return self.supported_cell_count(table) >= needed
+        n_cells = 1 << n_items
+        return self._cells_reaching(cells, n_cells) >= self.fraction * n_cells
 
     def supported_cell_count(self, table: ContingencyTable) -> int:
         """How many cells reach the count threshold (diagnostic)."""
+        return self._cells_reaching(table.nonzero_counts(), table.n_cells)
+
+    def _cells_reaching(self, cells: Mapping[int, float], n_cells: int) -> int:
         if self.count <= 0:
             # Every cell, occupied or not, trivially reaches a zero bar.
-            return table.n_cells
+            return n_cells
         threshold = self.count
-        return sum(1 for observed in table.nonzero_counts().values() if observed >= threshold)
+        return sum(1 for observed in cells.values() if observed >= threshold)
 
     @property
     def enables_level1_pruning(self) -> bool:

@@ -2,7 +2,7 @@
 
 :class:`ParallelCountingEngine` is the scaling layer between a
 :class:`~repro.data.basket.BasketDatabase` and anything that needs
-contingency tables — the chi-squared-support miner's
+contingency-table cells — the chi-squared-support miner's
 ``counting="parallel"`` backend, rule ranking, interactive probes.  It
 has three moving parts:
 
@@ -16,7 +16,7 @@ has three moving parts:
    the fallback when a segment cannot be created).  Either way each
    shard counts cells on its own with the vectorized batch kernels.
 2. **A worker pool** — created once and reused across every
-   ``count_tables()`` call of a run; a counting batch fans one task per
+   ``count_cells()`` call of a run; a counting batch fans one task per
    shard out and merges the returned sparse dicts, exploiting that any
    cell count is a sum over shards.
 3. **Adaptive dispatch** — parallelism has real dispatch cost, so the
@@ -45,10 +45,9 @@ import os
 import time
 from collections.abc import Iterable, Sequence
 
-from repro.core.contingency import ContingencyTable
 from repro.core.itemsets import Itemset
 from repro.data.basket import BasketDatabase
-from repro.kernels import HAS_NUMPY, count_tables_vectorized
+from repro.kernels import HAS_NUMPY, count_cells_batch
 from repro.obs import NULL_TELEMETRY, Telemetry
 from repro.parallel.sharding import merge_shard_counts, shard_database
 
@@ -135,8 +134,8 @@ class ParallelCountingEngine:
 
     >>> db = BasketDatabase.from_baskets([["a", "b"]] * 3 + [["a"]] * 2 + [[]] * 5)
     >>> with ParallelCountingEngine(db, workers=1) as engine:
-    ...     table = engine.table_for(Itemset([0, 1]))
-    >>> dict(table.nonzero_counts()) == {0b11: 3, 0b01: 2, 0b00: 5}
+    ...     [cells] = engine.count_cells([Itemset([0, 1])])
+    >>> cells == {0b11: 3, 0b01: 2, 0b00: 5}
     True
     """
 
@@ -296,27 +295,23 @@ class ParallelCountingEngine:
 
     # -- counting -------------------------------------------------------------
 
-    def table_for(self, itemset: Itemset) -> ContingencyTable:
-        """The contingency table of one itemset."""
-        return self.count_tables([itemset])[itemset]
-
-    def count_tables(
-        self, itemsets: Iterable[Itemset]
-    ) -> dict[Itemset, ContingencyTable]:
-        """Contingency tables for a batch of itemsets.
+    def count_cells(self, itemsets: Iterable[Itemset]) -> list[dict[int, int]]:
+        """Exact sparse cells for a batch of itemsets, aligned with the input.
 
         Counted in one sharded batch, or serially — see the class
         docstring for the degradation rules.  Duplicates are counted
-        once; the returned dict preserves first-seen input order.
+        once and share their cells.
         """
+        itemsets = list(itemsets)
         ordered = list(dict.fromkeys(itemsets))
         if not ordered:
-            return {}
-        return dict(zip(ordered, self._count_batch(ordered)))
+            return []
+        counted = dict(zip(ordered, self._count_batch(ordered)))
+        return [counted[itemset] for itemset in itemsets]
 
     # -- internals ------------------------------------------------------------
 
-    def _count_batch(self, itemsets: Sequence[Itemset]) -> list[ContingencyTable]:
+    def _count_batch(self, itemsets: Sequence[Itemset]) -> list[dict[int, int]]:
         if self.workers == 1 or self._pool_broken or self.degraded:
             return self._timed_batch("serial", self._count_serial, itemsets)
         if not self._worth_parallel(itemsets):
@@ -371,12 +366,12 @@ class ParallelCountingEngine:
             return False
         return True
 
-    def _timed_batch(self, mode, count, itemsets: Sequence[Itemset]) -> list[ContingencyTable]:
+    def _timed_batch(self, mode, count, itemsets: Sequence[Itemset]) -> list[dict[int, int]]:
         """Run one counting batch under a span + duration histogram."""
         with self.telemetry.tracer.span(
             "count.batch", mode=mode, n_itemsets=len(itemsets)
         ) as batch_span:
-            tables = count(itemsets)
+            counted = count(itemsets)
         self.telemetry.metrics.histogram("count_batch_seconds", mode=mode).observe(
             batch_span.duration
         )
@@ -385,18 +380,15 @@ class ParallelCountingEngine:
         self._mode_unit[mode] = (
             unit if previous is None else 0.3 * unit + 0.7 * previous
         )
-        return tables
+        return counted
 
-    def _count_serial(self, itemsets: Sequence[Itemset]) -> list[ContingencyTable]:
+    def _count_serial(self, itemsets: Sequence[Itemset]) -> list[dict[int, int]]:
         """In-process counting over the full database (the reference path)."""
         self.serial_batches += 1
         self.telemetry.metrics.counter("pool_events", kind="serial_batch").inc()
-        tables = count_tables_vectorized(
-            self.db, itemsets, metrics=self.telemetry.metrics
-        )
-        return [tables[itemset] for itemset in itemsets]
+        return count_cells_batch(self.db, itemsets, metrics=self.telemetry.metrics)
 
-    def _count_parallel(self, itemsets: Sequence[Itemset]) -> list[ContingencyTable]:
+    def _count_parallel(self, itemsets: Sequence[Itemset]) -> list[dict[int, int]]:
         """One task per shard, merged by the shard-sum identity."""
         pool = self._ensure_pool()
         if pool is None:
@@ -456,9 +448,4 @@ class ParallelCountingEngine:
             raise CountingError(f"worker failed while counting: {error}") from error
         self.parallel_batches += 1
         metrics.counter("pool_events", kind="parallel_batch").inc()
-        merged = merge_shard_counts(per_shard)
-        n = self.db.n_baskets
-        return [
-            ContingencyTable.from_cell_counts(itemset, cells, n)
-            for itemset, cells in zip(itemsets, merged)
-        ]
+        return merge_shard_counts(per_shard)

@@ -243,3 +243,31 @@ class TestConvenienceWrapper:
         db = make_db_with_planted_pair()
         result = mine_significant_itemsets(db, support_count=5, support_fraction=0.3)
         assert Itemset([0, 1]) in {r.itemset for r in result.rules}
+
+
+class TestTablesOnlyForSig:
+    def test_default_mine_builds_one_table_per_sig_rule(self, monkeypatch):
+        """Candidates are decided on cells; only SIG itemsets get a table."""
+        built = []
+        for name in ("from_cell_counts", "from_database"):
+            original = getattr(ContingencyTable, name)
+
+            def counting(*args, _original=original, **kwargs):
+                table = _original(*args, **kwargs)
+                built.append(table)
+                return table
+
+            monkeypatch.setattr(ContingencyTable, name, counting)
+        original_init = ContingencyTable.__init__
+
+        def counting_init(self, *args, **kwargs):
+            original_init(self, *args, **kwargs)
+            built.append(self)
+
+        monkeypatch.setattr(ContingencyTable, "__init__", counting_init)
+
+        db = make_db_with_planted_pair(seed=5, n=600)
+        result = ChiSquaredSupportMiner(support=CellSupport(5, 0.3)).mine(db)
+        assert result.rules and result.supported_uncorrelated
+        assert len(built) == len(result.rules)
+        assert {id(table) for table in built} == {id(rule.table) for rule in result.rules}

@@ -83,7 +83,7 @@ def test_a_failed_append_leaves_the_generation_and_the_log(monkeypatch):
     def explode(self, db, itemsets):
         raise RuntimeError("counting failed mid-append")
 
-    monkeypatch.setattr(mining_module._IncrementalTableEngine, "_count", explode)
+    monkeypatch.setattr(mining_module._IncrementalCellEngine, "_count", explode)
     with pytest.raises(RuntimeError, match="counting failed"):
         miner.append([["tea", "sugar"], ["sugar"]])
     assert miner.db is current

@@ -216,7 +216,7 @@ class TestCountTablesVectorized:
                 reference.nonzero_counts()
             ), itemset
             assert table.n == reference.n
-            # _from_parts skipped the validating constructor, so the
+            # from_cell_counts skipped the validating constructor, so the
             # derived quantities must still match exactly.
             for cell in range(1 << len(itemset)):
                 assert table.observed(cell) == reference.observed(cell)

@@ -128,7 +128,7 @@ class TestBackendFailureMidAppend:
             raise RuntimeError("backend exploded mid-count")
 
         monkeypatch.setattr(
-            mining_module._IncrementalTableEngine, "_count", explode
+            mining_module._IncrementalCellEngine, "_count", explode
         )
         with pytest.raises(RuntimeError, match="backend exploded"):
             service.append([["tea", "sugar"], ["sugar"]])
@@ -158,7 +158,7 @@ class TestBackendFailureMidAppend:
                 raise RuntimeError("backend exploded mid-count")
 
             monkeypatch.setattr(
-                mining_module._IncrementalTableEngine, "_count", explode
+                mining_module._IncrementalCellEngine, "_count", explode
             )
             status, payload = request(
                 base, "POST", "/append", body={"baskets": [["tea", "oops"]]}
@@ -284,14 +284,14 @@ class TestReadsNeverWaitOnAppend:
         seed(service)  # generation 1, 6 baskets
         parked = threading.Event()
         release = threading.Event()
-        count = mining_module._IncrementalTableEngine._count
+        count = mining_module._IncrementalCellEngine._count
 
         def park(self, db, itemsets):
             parked.set()
             release.wait(timeout=30)
             return count(self, db, itemsets)
 
-        monkeypatch.setattr(mining_module._IncrementalTableEngine, "_count", park)
+        monkeypatch.setattr(mining_module._IncrementalCellEngine, "_count", park)
         writer = threading.Thread(
             target=service.append, args=([["tea", "sugar"], ["sugar"]],)
         )
@@ -371,7 +371,7 @@ class TestSpansClosedOnErrorPaths:
             raise RuntimeError("backend exploded mid-count")
 
         monkeypatch.setattr(
-            mining_module._IncrementalTableEngine, "_count", explode
+            mining_module._IncrementalCellEngine, "_count", explode
         )
         with pytest.raises(RuntimeError):
             service.append([["tea", "sugar"]])

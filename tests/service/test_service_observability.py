@@ -151,7 +151,7 @@ class TestFlightEndpoint:
         def explode(self, db, itemsets):
             raise RuntimeError("backend exploded mid-count")
 
-        monkeypatch.setattr(mining_module._IncrementalTableEngine, "_count", explode)
+        monkeypatch.setattr(mining_module._IncrementalCellEngine, "_count", explode)
         status, headers, raw = request(
             base, "POST", "/append", body={"baskets": [["tea", "oops"]]}
         )

@@ -3,10 +3,11 @@
 The miner exposes two hash-table backends (``dict``, ``fks``) and the
 counting backends of :data:`repro.counting.BACKENDS`.  Every
 combination implements the *same* Figure 1 algorithm, so on any
-database they must produce identical ``SIG`` borders, level stats, and
-supported-uncorrelated sets — and every contingency table any of them
-builds must match a brute-force ``2^m``-cell enumerator that classifies
-each basket into its presence/absence cell by definition.  The blocked
+database they must produce identical ``SIG`` borders, statistics, level
+stats, and supported-uncorrelated sets — with the default chi-squared,
+the G statistic and §3.3's small-cell policy alike — and the cells every
+backend counts must match a brute-force ``2^m``-cell enumerator that
+classifies each basket into its presence/absence cell by definition.  The blocked
 level-k and basket-major scan kernels are additionally pinned
 bit-identical on probes up to ``k = 5`` and on every 4-, 5- and
 6-itemset of a deterministic database whose mine reaches levels 4-6 —
@@ -26,15 +27,13 @@ from itertools import combinations
 import pytest
 
 from repro.algorithms.chi2support import ChiSquaredSupportMiner
-from repro.core.contingency import ContingencyTable, count_cells, count_tables_single_pass
+from repro.core.contingency import ContingencyTable, count_cells
 from repro.core.correlation import CorrelationTest
 from repro.core.itemsets import Itemset
-from repro.counting import BACKENDS
+from repro.counting import BACKENDS, open_backend
 from repro.data.basket import BasketDatabase
-from repro.fptree import FPTreePairEngine
-from repro.kernels import HAS_NUMPY, count_tables_vectorized
+from repro.kernels import HAS_NUMPY
 from repro.measures.cellsupport import CellSupport, level1_pair_may_have_support
-from repro.parallel import ParallelCountingEngine
 
 try:
     import hypothesis.strategies as st
@@ -49,6 +48,11 @@ COUNTING_BACKENDS = tuple(BACKENDS)
 
 SIGNIFICANCE = 0.95
 SUPPORT = CellSupport(count=2, fraction=0.3)
+
+# Miner inputs every backend must honour bit for bit.  The default
+# decides on the counted cells; the G statistic and §3.3's small-cell
+# policy decide on a table built for every supported candidate.
+MINER_KNOBS = ({}, {"statistic": "g"}, {"min_expected_cell": 5.0})
 
 
 # -- the brute-force 2^m-cell enumerator -------------------------------------
@@ -163,22 +167,27 @@ def assert_all_backends_agree(baskets: list[list[int]], n_items: int) -> None:
     if db.n_baskets == 0:
         return
 
-    reference = None
-    for table_backend in TABLE_BACKENDS:
-        for counting in COUNTING_BACKENDS:
-            miner = ChiSquaredSupportMiner(
-                significance=SIGNIFICANCE,
-                support=SUPPORT,
-                table_backend=table_backend,
-                counting=counting,
-                workers=1,  # in-process: keeps the property loop fast
-            )
-            signature = _signature(miner.mine(db))
-            if reference is None:
-                reference = signature
-                continue
-            assert signature == reference, (table_backend, counting)
+    for knobs in MINER_KNOBS:
+        reference = None
+        for table_backend in TABLE_BACKENDS:
+            for counting in COUNTING_BACKENDS:
+                miner = ChiSquaredSupportMiner(
+                    significance=SIGNIFICANCE,
+                    support=SUPPORT,
+                    table_backend=table_backend,
+                    counting=counting,
+                    workers=1,  # in-process: keeps the property loop fast
+                    **knobs,
+                )
+                signature = _signature(miner.mine(db))
+                if reference is None:
+                    reference = signature
+                    continue
+                assert signature == reference, (knobs, table_backend, counting)
+        if not knobs:
+            default = reference
 
+    reference = default
     assert reference is not None
     sig_itemsets, notsig_itemsets = reference_mine(db)
     assert reference[0] == sig_itemsets
@@ -198,25 +207,18 @@ def assert_all_backends_agree(baskets: list[list[int]], n_items: int) -> None:
     probes = sorted(set(probes))
     if not probes:
         return
-    single = count_tables_single_pass(db, probes)
-    vectorized = count_tables_vectorized(db, probes)
-    with ParallelCountingEngine(db, workers=1, n_shards=3) as engine:
-        parallel_tables = engine.count_tables(probes)
-    # The FP-tree engine derives pair tables from one ancestor-chain
-    # sweep (no candidate generation) and falls back to bitmaps above
-    # level 2 — both paths are probed here.
-    fptree_tables = FPTreePairEngine(db).count_tables(probes)
-    for probe in probes:
+    counted = {}
+    for counting in COUNTING_BACKENDS:
+        backend = open_backend(counting, db, workers=1)
+        try:
+            counted[counting] = backend.count_cells(probes)
+        finally:
+            backend.close()
+    for slot, probe in enumerate(probes):
         expected = brute_force_cells(db, probe)
-        for label, table in (
-            ("bitmap", ContingencyTable.from_database(db, probe)),
-            ("single_pass", single[probe]),
-            ("vectorized", vectorized[probe]),
-            ("parallel", parallel_tables[probe]),
-            ("fptree", fptree_tables[probe]),
-        ):
-            assert dict(table.nonzero_counts()) == expected, (label, probe)
-            assert table.n == db.n_baskets, (label, probe)
+        assert count_cells(db, probe) == expected, probe
+        for counting, cells in counted.items():
+            assert cells[slot] == expected, (counting, probe)
         if HAS_NUMPY:
             # The wide-itemset kernels, called directly at every width.
             for label, cells in _direct_kernel_cells(db, probe):
@@ -308,11 +310,18 @@ def test_deep_levels_agree_across_backends_and_kernels():
     levels = {stats.level for stats in reference[4] if stats.candidates}
     assert {4, 5, 6} <= levels, "the run must actually reach levels 4-6"
 
-    for counting in COUNTING_BACKENDS:
-        signature = _signature(
-            ChiSquaredSupportMiner(counting=counting, **DEEP_PARAMS).mine(db)
-        )
-        assert signature == reference, counting
+    for knobs in MINER_KNOBS:
+        knob_reference = None
+        for counting in COUNTING_BACKENDS:
+            signature = _signature(
+                ChiSquaredSupportMiner(counting=counting, **DEEP_PARAMS, **knobs).mine(db)
+            )
+            if not knobs:
+                assert signature == reference, counting
+            elif knob_reference is None:
+                knob_reference = signature
+            else:
+                assert signature == knob_reference, (knobs, counting)
 
     if HAS_NUMPY:
         for width in (4, 5, 6):

@@ -13,7 +13,7 @@ import pytest
 
 from repro.algorithms.apriori import apriori
 from repro.algorithms.chi2support import ChiSquaredSupportMiner
-from repro.core.contingency import ContingencyTable
+from repro.core.contingency import ContingencyTable, count_cells
 from repro.core.correlation import chi_squared
 from repro.core.itemsets import Itemset, ItemVocabulary
 from repro.data.basket import BasketDatabase
@@ -157,7 +157,7 @@ class TestParallelCountingFailures:
         )
 
     def _reference_counts(self, db):
-        return dict(ContingencyTable.from_database(db, Itemset([0, 1])).nonzero_counts())
+        return count_cells(db, Itemset([0, 1]))
 
     def test_poisoned_shard_raises_counting_error(self):
         from repro.parallel import CountingError, ParallelCountingEngine
@@ -168,7 +168,7 @@ class TestParallelCountingFailures:
         ) as engine:
             engine.shards[0].fault = "crash"
             with pytest.raises(CountingError, match="injected crash in shard 0"):
-                engine.count_tables([Itemset([0, 1])])
+                engine.count_cells([Itemset([0, 1])])
 
     @pytest.mark.slow
     def test_pool_timeout_raises_instead_of_hanging(self):
@@ -180,7 +180,7 @@ class TestParallelCountingFailures:
         ) as engine:
             engine.shards[1].fault = "hang"
             with pytest.raises(CountingError, match="task_timeout"):
-                engine.count_tables([Itemset([0, 1])])
+                engine.count_cells([Itemset([0, 1])])
 
     def test_poisoned_shard_falls_back_to_serial(self):
         from repro.parallel import ParallelCountingEngine
@@ -190,15 +190,13 @@ class TestParallelCountingFailures:
             db, workers=2, task_timeout=30.0, min_parallel_batch=0
         ) as engine:
             engine.shards[0].fault = "crash"
-            tables = engine.count_tables([Itemset([0, 1])])
+            [cells] = engine.count_cells([Itemset([0, 1])])
             assert engine.degraded
             assert engine.fallbacks == 1
-            assert dict(tables[Itemset([0, 1])].nonzero_counts()) == (
-                self._reference_counts(db)
-            )
+            assert cells == self._reference_counts(db)
             # Once degraded, later batches go straight to the (working)
             # serial path without touching the broken pool again.
-            engine.count_tables([Itemset([1, 2])])
+            engine.count_cells([Itemset([1, 2])])
             assert engine.fallbacks == 1
 
     def test_pool_unavailable_falls_back_to_serial(self):
@@ -212,11 +210,9 @@ class TestParallelCountingFailures:
         with ParallelCountingEngine(
             db, workers=2, mp_context=BrokenContext(), min_parallel_batch=0
         ) as engine:
-            tables = engine.count_tables([Itemset([0, 1])])
+            [cells] = engine.count_cells([Itemset([0, 1])])
             assert engine.degraded
-            assert dict(tables[Itemset([0, 1])].nonzero_counts()) == (
-                self._reference_counts(db)
-            )
+            assert cells == self._reference_counts(db)
 
     def test_pool_unavailable_propagates_without_fallback(self):
         from repro.parallel import CountingError, ParallelCountingEngine
@@ -231,7 +227,7 @@ class TestParallelCountingFailures:
             min_parallel_batch=0
         ) as engine:
             with pytest.raises(CountingError, match="pool could not be created"):
-                engine.count_tables([Itemset([0, 1])])
+                engine.count_cells([Itemset([0, 1])])
 
     def test_miner_rejects_invalid_workers(self):
         with pytest.raises(ValueError):
@@ -296,14 +292,12 @@ class TestSharedMemoryCleanup:
         ) as engine:
             name = self._segment_name(engine)
             engine.shards[0].fault = "crash"
-            tables = engine.count_tables([Itemset([0, 1])])
+            [cells] = engine.count_cells([Itemset([0, 1])])
             assert engine.degraded
             # The pool-failure path released the segment already, while
             # the engine is still open and serving serially.
             self._assert_unlinked(name)
-            assert dict(tables[Itemset([0, 1])].nonzero_counts()) == dict(
-                ContingencyTable.from_database(db, Itemset([0, 1])).nonzero_counts()
-            )
+            assert cells == count_cells(db, Itemset([0, 1]))
         self._assert_unlinked(name)
 
     @pytest.mark.slow
@@ -320,7 +314,7 @@ class TestSharedMemoryCleanup:
             name = self._segment_name(engine)
             engine.shards[1].fault = "hang"
             with pytest.raises(CountingError, match="task_timeout"):
-                engine.count_tables([Itemset([0, 1])])
+                engine.count_cells([Itemset([0, 1])])
             self._assert_unlinked(name)
 
     def test_shared_and_pickled_counts_identical(self):
@@ -331,14 +325,13 @@ class TestSharedMemoryCleanup:
         targets = [Itemset([0, 1]), Itemset([0, 1, 2]), Itemset([2])]
         with ParallelCountingEngine(db, workers=2, min_parallel_batch=0) as engine:
             self._segment_name(engine)
-            shared = engine.count_tables(targets)
+            shared = engine.count_cells(targets)
             assert engine.parallel_batches == 1
         pickled = merge_shard_counts(
             shard.count_cells([itemset.items for itemset in targets])
             for shard in shard_database(db, 2)
         )
-        for itemset, cells in zip(targets, pickled):
-            assert dict(shared[itemset].nonzero_counts()) == cells
+        assert shared == pickled
 
 
 class TestTelemetryOnErrorPaths:
@@ -407,7 +400,7 @@ class TestTelemetryOnErrorPaths:
         clean_miner, clean_telemetry = self._miner("single_pass")
         clean_miner.mine(self._db())
 
-        real = counting_module.count_tables_single_pass
+        real = counting_module.count_cells_single_pass
         calls = {"n": 0}
 
         def explode_on_second_level(db, candidates):
@@ -417,7 +410,7 @@ class TestTelemetryOnErrorPaths:
             return real(db, candidates)
 
         monkeypatch.setattr(
-            counting_module, "count_tables_single_pass", explode_on_second_level
+            counting_module, "count_cells_single_pass", explode_on_second_level
         )
         miner, telemetry = self._miner("single_pass")
         with pytest.raises(RuntimeError, match="injected counting failure"):
@@ -438,7 +431,7 @@ class TestTelemetryOnErrorPaths:
     def test_fptree_engine_raising_mid_level_closes_spans(self, monkeypatch):
         from repro.fptree import FPTreePairEngine
 
-        real = FPTreePairEngine.count_tables
+        real = FPTreePairEngine.count_cells
         calls = {"n": 0}
 
         def explode_on_second_level(self, candidates):
@@ -447,7 +440,7 @@ class TestTelemetryOnErrorPaths:
                 raise RuntimeError("injected fptree failure")
             return real(self, candidates)
 
-        monkeypatch.setattr(FPTreePairEngine, "count_tables", explode_on_second_level)
+        monkeypatch.setattr(FPTreePairEngine, "count_cells", explode_on_second_level)
         miner, telemetry = self._miner("fptree")
         with pytest.raises(RuntimeError, match="injected fptree failure"):
             miner.mine(self._db())

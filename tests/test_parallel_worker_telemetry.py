@@ -53,7 +53,7 @@ class TestEngineMerge:
         try:
             from repro.core.itemsets import Itemset
 
-            engine.count_tables([Itemset([0, 1]), Itemset([2, 3]), Itemset([1, 4])])
+            engine.count_cells([Itemset([0, 1]), Itemset([2, 3]), Itemset([1, 4])])
         finally:
             engine.close()
         metrics = telemetry.metrics
@@ -71,7 +71,7 @@ class TestEngineMerge:
         try:
             from repro.core.itemsets import Itemset
 
-            engine.count_tables([Itemset([0, 2]), Itemset([3, 5])])
+            engine.count_cells([Itemset([0, 2]), Itemset([3, 5])])
         finally:
             engine.close()
         assert telemetry.reconcile_workers() == []
