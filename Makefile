@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-fast test-all lint lint-strict lint-json bench bench-counting bench-mine bench-mine-smoke bench-paper examples service-smoke docs-check all
+.PHONY: install test test-fast test-all lint lint-strict lint-json bench bench-counting bench-mine bench-mine-smoke bench-paper examples service-smoke all
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop

@@ -31,7 +31,6 @@ from repro.algorithms import (
     SamplingResult,
     apriori,
     generate_rules,
-    mine_significant_itemsets,
     pcy,
     toivonen_sample_mine,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "SamplingResult",
     "apriori",
     "generate_rules",
-    "mine_significant_itemsets",
     "pcy",
     "toivonen_sample_mine",
     "AssociationRule",

@@ -1,12 +1,7 @@
 """Mining algorithms: the paper's chi2-support miner and the baselines."""
 
 from repro.algorithms.apriori import AprioriResult, apriori, brute_force_frequent
-from repro.algorithms.chi2support import (
-    ChiSquaredSupportMiner,
-    LevelStats,
-    MiningResult,
-    mine_significant_itemsets,
-)
+from repro.algorithms.chi2support import ChiSquaredSupportMiner, LevelStats, MiningResult
 from repro.algorithms.closed import closed_frequent, maximal_frequent, support_border
 from repro.algorithms.negative import NegativeImplication, mine_negative_implications
 from repro.algorithms.pcy import PCYResult, pcy
@@ -25,7 +20,6 @@ __all__ = [
     "ChiSquaredSupportMiner",
     "LevelStats",
     "MiningResult",
-    "mine_significant_itemsets",
     "closed_frequent",
     "maximal_frequent",
     "support_border",

@@ -33,17 +33,27 @@ so the ablation benchmarks can measure each one:
   every level-2 candidate's cells; levels above 2 fall back to bitmaps);
 * ``level1_pruning`` — toggle the special p > 0.25 pair pruning;
 * ``statistic`` — ``"chi2"`` (default) or ``"g"`` (likelihood-ratio
-  G-test, an upward-closed drop-in).
+  G-test, an upward-closed drop-in);
+* ``min_expected_cell`` — §3.3's small-cell policy.
+
+Either knob only picks which cells recipe of :mod:`repro.core.correlation`
+each supported candidate is decided with; a table is built only for SIG.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from math import comb
 
 from repro.core.border import Border
 from repro.core.contingency import ContingencyTable
-from repro.core.correlation import CorrelationResult, CorrelationTest, chi2_from_cells
+from repro.core.correlation import (
+    CorrelationTest,
+    chi2_from_cells,
+    chi2_from_cells_ignoring_small,
+    g_from_cells,
+)
 from repro.core.itemsets import Itemset
 from repro.core.lattice import apriori_join
 from repro.core.rules import CorrelationRule
@@ -56,9 +66,8 @@ from repro.measures.cellsupport import (
     level1_pair_may_have_support,
 )
 from repro.obs import NULL_TELEMETRY, Telemetry
-from repro.stats.gtest import g_statistic
 
-__all__ = ["LevelStats", "MiningResult", "ChiSquaredSupportMiner", "mine_significant_itemsets"]
+__all__ = ["LevelStats", "MiningResult", "ChiSquaredSupportMiner"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,6 +125,11 @@ class MiningResult:
 
     def __post_init__(self) -> None:
         self._by_itemset = {rule.itemset: rule for rule in self.rules}
+
+    @property
+    def hypotheses_tested(self) -> int:
+        """Statistic evaluations behind this result: the supported candidates."""
+        return sum(stats.candidates - stats.discarded for stats in self.level_stats)
 
     def rule_for(self, itemset: Itemset) -> CorrelationRule | None:
         """The rule discovered for ``itemset``, if any."""
@@ -184,11 +198,23 @@ class ChiSquaredSupportMiner:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if statistic not in ("chi2", "g"):
             raise ValueError(f"unknown statistic {statistic!r}")
-        # min_expected_cell > 0 applies §3.3's interim policy during
-        # mining: cells with tiny expectation are dropped from the sum.
+        # The test holds the cutoff and packages SIG evidence; it also
+        # rejects a negative min_expected_cell.
         self.test = CorrelationTest(
             significance=significance, min_expected_cell=min_expected_cell
         )
+        # The one statistic recipe a run calls on each supported
+        # candidate's (cells, item counts, n).  min_expected_cell > 0
+        # applies §3.3's interim policy: cells with tiny expectation are
+        # dropped from the sum.
+        if statistic == "g":
+            self.from_cells = g_from_cells
+        elif min_expected_cell > 0.0:
+            self.from_cells = partial(
+                chi2_from_cells_ignoring_small, min_expected=min_expected_cell
+            )
+        else:
+            self.from_cells = chi2_from_cells
         self.support = support if support is not None else CellSupport(count=1, fraction=0.26)
         self.max_level = max_level
         self.table_backend = table_backend
@@ -197,30 +223,6 @@ class ChiSquaredSupportMiner:
         self.statistic_name = statistic
         self.workers = workers
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-
-    # -- statistic hook -------------------------------------------------------
-
-    def _statistic(self, table: ContingencyTable) -> float:
-        if self.statistic_name == "chi2":
-            return self.test.statistic(table)
-        return g_statistic(table.observed_expected(occupied_only=True))
-
-    def _result_for(self, table: ContingencyTable, stat: float) -> CorrelationResult:
-        """Package the full evidence for an itemset entering SIG.
-
-        The p-value and validity diagnostics are only computed here —
-        for the (few) correlated itemsets — never on the hot path that
-        rejects the (many) uncorrelated candidates.
-        """
-        from repro.stats import chi2 as chi2_dist
-
-        return CorrelationResult(
-            statistic=stat,
-            cutoff=self.test.cutoff,
-            correlated=stat >= self.test.cutoff,
-            p_value=chi2_dist.sf(stat, self.test.df),
-            validity=table.validity(),
-        )
 
     # -- candidate generation ---------------------------------------------------
 
@@ -318,14 +320,12 @@ class ChiSquaredSupportMiner:
         k = db.n_items
         level = 2
         examined = 0
-        cutoff = self.test.cutoff
+        test = self.test
+        cutoff = test.cutoff
         support = self.support
+        from_cells = self.from_cells
         item_counts = db.item_counts()
         n = db.n_baskets
-        # Candidates are decided on their cells; a table is built only for
-        # SIG, or for every supported candidate when the statistic reads
-        # one (the G statistic, §3.3's small-cell policy).
-        needs_table = self.statistic_name != "chi2" or self.test.min_expected_cell > 0.0
         tracer = self.telemetry.tracer
         metrics = self.telemetry.metrics
         while candidates and (self.max_level is None or level <= self.max_level):
@@ -348,20 +348,13 @@ class ChiSquaredSupportMiner:
                     if not support.supports_cells(cells, len(items)):
                         discarded += 1
                         continue
-                    table = None
-                    if needs_table:
-                        table = ContingencyTable.from_cell_counts(candidate, cells, n)
-                        stat = self._statistic(table)
-                    else:
-                        stat = chi2_from_cells(
-                            cells, [item_counts[item] for item in items], n
-                        )
+                    stat = from_cells(cells, [item_counts[item] for item in items], n)
                     if stat >= cutoff:
-                        if table is None:
-                            table = ContingencyTable.from_cell_counts(candidate, cells, n)
+                        # Only SIG itemsets get a table and packaged evidence.
+                        table = ContingencyTable.from_cell_counts(candidate, cells, n)
                         rule = CorrelationRule(
                             itemset=candidate,
-                            result=self._result_for(table, stat),
+                            result=test.evidence(table, stat),
                             table=table,
                             minimal=True,
                         )
@@ -414,24 +407,3 @@ class ChiSquaredSupportMiner:
             candidates = next_candidates
             level += 1
         return examined
-
-
-def mine_significant_itemsets(
-    db: BasketDatabase,
-    significance: float = 0.95,
-    support_count: float = 1,
-    support_fraction: float = 0.26,
-    **kwargs: object,
-) -> MiningResult:
-    """Convenience wrapper: mine with scalar support parameters.
-
-    Mirrors the algorithm's declared inputs — "a chi-squared significance
-    level alpha, support s, support fraction p > 0.25" — without
-    constructing the measure objects by hand.
-    """
-    miner = ChiSquaredSupportMiner(
-        significance=significance,
-        support=CellSupport(count=support_count, fraction=support_fraction),
-        **kwargs,  # type: ignore[arg-type]
-    )
-    return miner.mine(db)

@@ -36,11 +36,60 @@ __all__ = [
     "ExpectedValueValidity",
     "count_cells",
     "count_cells_single_pass",
+    "expected_spectrum",
+    "pair_cells",
 ]
 
 # Above this many items, the Möbius/bitmap construction (which touches
 # all 2^k masks) gives way to a single sparse pass over the baskets.
 _MAX_DENSE_ITEMS = 12
+
+
+def expected_spectrum(probabilities: Sequence[float], n: float) -> list[float]:
+    """E[r] of every cell in ascending order, built by doubling: ``O(2^k)``
+    multiplications in :meth:`ContingencyTable.expected`'s factor order,
+    so each value is bit-identical to the per-cell evaluation."""
+    spectrum = [float(n)]
+    for p in probabilities:
+        spectrum = [e * (1.0 - p) for e in spectrum] + [e * p for e in spectrum]
+    return spectrum
+
+
+def pair_cells(n: int, count_a: int, count_b: int, both: int) -> dict[int, int]:
+    """The occupied cells of a pair's 2x2 table; bit 0 is item ``a``.
+
+    Empty cells are omitted like every counting backend omits them: a
+    zero entry would send ``chi2_from_cells`` down its dense branch.
+    """
+    cells: dict[int, int] = {}
+    if both:
+        cells[0b11] = both
+    only_a = count_a - both
+    if only_a:
+        cells[0b01] = only_a
+    only_b = count_b - both
+    if only_b:
+        cells[0b10] = only_b
+    neither = n - count_a - count_b + both
+    if neither:
+        cells[0b00] = neither
+    return cells
+
+
+def _cell_marginals(cells: Mapping[int, float], k: int) -> tuple[float, ...]:
+    """Each item's occurrences, summed over the cells in ascending order.
+
+    The marginals are float sums and a mapping's insertion order is
+    whatever its producer chose; the canonical order keeps the tables
+    of every counting backend identical even for float-valued counts.
+    """
+    marginals = [0.0] * k
+    for cell in sorted(cells):
+        count = cells[cell]
+        for j in range(k):
+            if (cell >> j) & 1:
+                marginals[j] += count
+    return tuple(marginals)
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,15 +148,7 @@ class ContingencyTable:
         self._itemset = itemset
         self._n = n
         self._counts = cleaned
-        marginals = [0.0] * k
-        # Canonical cell order: the marginals are float sums, and the
-        # mapping's insertion order is whatever the caller produced.
-        for cell in sorted(cleaned):
-            count = cleaned[cell]
-            for j in range(k):
-                if (cell >> j) & 1:
-                    marginals[j] += count
-        self._marginals: tuple[float, ...] = tuple(marginals)
+        self._marginals: tuple[float, ...] = _cell_marginals(cleaned, k)
 
     # -- construction ---------------------------------------------------------
 
@@ -140,22 +181,12 @@ class ContingencyTable:
         construction) and derives the marginals from the cells, so every
         backend produces identical tables.
         """
-        k = len(itemset)
         occupied = {cell: count for cell, count in cells.items() if count}
-        marginals = [0.0] * k
-        # Kernel counts are integers (exact under any order), but summing
-        # in canonical cell order keeps every backend's tables identical
-        # even for float-valued inputs.
-        for cell in sorted(occupied):
-            count = occupied[cell]
-            for j in range(k):
-                if (cell >> j) & 1:
-                    marginals[j] += count
         table = object.__new__(cls)
         table._itemset = itemset
         table._n = n
         table._counts = occupied
-        table._marginals = tuple(marginals)
+        table._marginals = _cell_marginals(occupied, len(itemset))
         return table
 
     @classmethod
@@ -285,20 +316,9 @@ class ContingencyTable:
     # -- diagnostics -----------------------------------------------------------
 
     def validity(self) -> ExpectedValueValidity:
-        """Rule-of-thumb check for the chi-squared approximation (§3.3).
-
-        Every expectation is a product of the k marginal factors, so the
-        full ``2^k`` spectrum is built by doubling from the marginal
-        probabilities — ``O(2^k)`` multiplications total instead of
-        ``2^k`` Python :meth:`expected` calls of k multiplications each.
-        The factor order matches :meth:`expected`, so results are
-        bit-identical to the per-cell evaluation.
-        """
-        expected_list = [float(self._n)]
-        for p in self.marginal_probabilities():
-            expected_list = [e * (1.0 - p) for e in expected_list] + [
-                e * p for e in expected_list
-            ]
+        """Rule-of-thumb check for the chi-squared approximation (§3.3),
+        read off the table's :func:`expected_spectrum`."""
+        expected_list = expected_spectrum(self.marginal_probabilities(), self._n)
         return ExpectedValueValidity(
             min_expected=min(expected_list),
             fraction_above_five=sum(1 for e in expected_list if e > 5.0) / self.n_cells,
@@ -369,17 +389,8 @@ def _cells_pair(db: BasketDatabase, a: int, b: int) -> dict[int, int]:
     This is the miner's hottest operation at level 2, so it bypasses the
     generic Möbius machinery.
     """
-    n = db.n_baskets
     both = (db.item_bitmap(a) & db.item_bitmap(b)).bit_count()
-    count_a = db.item_count(a)
-    count_b = db.item_count(b)
-    cells = {
-        0b11: both,
-        0b01: count_a - both,
-        0b10: count_b - both,
-        0b00: n - count_a - count_b + both,
-    }
-    return {cell: count for cell, count in cells.items() if count}
+    return pair_cells(db.n_baskets, db.item_count(a), db.item_count(b), both)
 
 
 def _cells_triple(db: BasketDatabase, a: int, b: int, c: int) -> dict[int, int]:

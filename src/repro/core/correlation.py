@@ -13,9 +13,12 @@ which only visits occupied cells and therefore costs
 ``O(min(n, 2^k))``.  The two forms are algebraically identical
 (``sum_r E[r] = n``); a property test pins that down.
 
-A :class:`CorrelationTest` bundles the statistic with the significance
+Every statistic the miner uses is a function of one itemset's occupied
+cells, item counts and ``n`` (:func:`chi2_from_cells`, §3.3's
+:func:`chi2_from_cells_ignoring_small`, :func:`g_from_cells`); the table
+forms return the same floats.  A :class:`CorrelationTest` bundles the
 decision at a cutoff (3.84 at the paper's 95% level for the 1-dof
-tables) and with the rule-of-thumb validity diagnostics of §3.3.
+tables) with the evidence: p-value and the validity diagnostics of §3.3.
 """
 
 from __future__ import annotations
@@ -23,12 +26,15 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
-from repro.core.contingency import ContingencyTable, ExpectedValueValidity
+from repro.core.contingency import ContingencyTable, ExpectedValueValidity, expected_spectrum
 from repro.stats import chi2 as chi2_dist
 from repro.stats.criticals import critical_value
+from repro.stats.gtest import g_statistic
 
 __all__ = [
     "chi2_from_cells",
+    "chi2_from_cells_ignoring_small",
+    "g_from_cells",
     "chi_squared_dense",
     "chi_squared_sparse",
     "chi_squared",
@@ -47,26 +53,25 @@ _DEGENERATE = (
 
 
 def _dense_sum(
-    cells: Mapping[int, float], probabilities: Sequence[float], n: float
+    cells: Mapping[int, float],
+    probabilities: Sequence[float],
+    n: float,
+    floor: float = 0.0,
 ) -> float:
     """The full-table sum over all ``2^k`` cells, in ascending cell order.
 
-    The expected-value spectrum is built by doubling from the marginal
-    probabilities — ``O(2^k)`` multiplications total instead of k per
-    cell — with the factor order of the per-cell evaluation preserved
-    exactly (the same precedent as :meth:`ContingencyTable.validity`).
-    Cells whose expected value is zero are skipped when their observed
-    count is also zero (a structural zero — an item occurring in every
-    basket or in none — contributes nothing); a positive observation
-    with zero expectation is a degenerate table and raises.
+    Expectations come from :func:`expected_spectrum`, bit-identical to
+    the per-cell evaluation.  Cells whose expectation is below ``floor``
+    are left out (§3.3's small-cell policy; a zero floor keeps them
+    all).  Cells whose expected value is zero are skipped when their
+    observed count is also zero (a structural zero — an item occurring
+    in every basket or in none — contributes nothing); a positive
+    observation with zero expectation is a degenerate table and raises.
     """
-    expected_list = [float(n)]
-    for p in probabilities:
-        expected_list = [e * (1.0 - p) for e in expected_list] + [
-            e * p for e in expected_list
-        ]
     total = 0.0
-    for cell, expected in enumerate(expected_list):
+    for cell, expected in enumerate(expected_spectrum(probabilities, n)):
+        if expected < floor:
+            continue
         observed = cells.get(cell, 0)
         if expected == 0.0:
             if observed:
@@ -127,6 +132,32 @@ def chi2_from_cells(
     return _dense_sum(cells, probabilities, n)
 
 
+def chi2_from_cells_ignoring_small(
+    cells: Mapping[int, float], marginals: Sequence[float], n: float, min_expected: float
+) -> float:
+    """§3.3's full-table sum over the cells whose expectation is at
+    least ``min_expected``; arguments as for :func:`chi2_from_cells`."""
+    return _dense_sum(cells, [m / n for m in marginals], n, min_expected)
+
+
+def g_from_cells(
+    cells: Mapping[int, float], marginals: Sequence[float], n: float
+) -> float:
+    """The likelihood-ratio G statistic; arguments as for :func:`chi2_from_cells`.
+
+    Occupied cells in ascending order, each with the expectation of
+    :meth:`ContingencyTable.expected`, as the table form visits them.
+    """
+    probabilities = [m / n for m in marginals]
+    pairs = []
+    for cell in sorted(cells):
+        expected = n
+        for j, p in enumerate(probabilities):
+            expected *= p if (cell >> j) & 1 else 1.0 - p
+        pairs.append((cells[cell], expected))
+    return g_statistic(pairs)
+
+
 def chi_squared_dense(table: ContingencyTable) -> float:
     """Full-table chi-squared sum over all ``2^k`` cells.
 
@@ -163,17 +194,9 @@ def chi_squared_ignoring_small_cells(
     """
     if min_expected < 0:
         raise ValueError(f"min_expected must be non-negative, got {min_expected}")
-    total = 0.0
-    for observed, expected in table.observed_expected():
-        if expected < min_expected:
-            continue
-        if expected == 0.0:
-            if observed:
-                raise ZeroDivisionError(_DEGENERATE)
-            continue
-        deviation = observed - expected
-        total += deviation * deviation / expected
-    return total
+    return _dense_sum(
+        table.nonzero_counts(), table.marginal_probabilities(), table.n, min_expected
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -250,17 +273,21 @@ class CorrelationTest:
 
     def __call__(self, table: ContingencyTable) -> CorrelationResult:
         """Run the full test: statistic, decision, p-value, validity."""
-        stat = self.statistic(table)
+        return self.evidence(table, self.statistic(table))
+
+    def evidence(self, table: ContingencyTable, statistic: float) -> CorrelationResult:
+        """The decision, p-value and validity for a statistic already
+        computed on ``table`` (the miner's SIG itemsets, or a query)."""
         return CorrelationResult(
-            statistic=stat,
+            statistic=statistic,
             cutoff=self.cutoff,
-            correlated=stat >= self.cutoff,
-            p_value=chi2_dist.sf(stat, self.df),
+            correlated=statistic >= self.cutoff,
+            p_value=chi2_dist.sf(statistic, self.df),
             validity=table.validity(),
         )
 
     def is_correlated(self, table: ContingencyTable) -> bool:
-        """Significance decision only (the hot path of the miner)."""
+        """Significance decision only."""
         return self.statistic(table) >= self.cutoff
 
     def __repr__(self) -> str:

@@ -45,12 +45,25 @@ __all__ = [
 
 
 def _resolve_itemset(db: BasketDatabase, items: Iterable[int | str]) -> Itemset:
+    """The itemset named by ``items``, a mix of item names and ids.
+
+    Raises ``ValueError`` for a name the database has not seen, an id
+    outside ``[0, db.n_items)``, or anything that is neither.
+    """
+    vocabulary = db.vocabulary
+    n_items = db.n_items
     resolved: list[int] = []
     for item in items:
         if isinstance(item, str):
-            resolved.append(db.vocabulary.id_of(item))
-        else:
+            if item not in vocabulary:
+                raise ValueError(f"unknown item {item!r}")
+            resolved.append(vocabulary.id_of(item))
+        elif isinstance(item, int) and not isinstance(item, bool):
+            if not 0 <= item < n_items:
+                raise ValueError(f"item id {item} out of range")
             resolved.append(item)
+        else:
+            raise ValueError(f"items must be names or ids, got {item!r}")
     return Itemset(resolved)
 
 
@@ -73,7 +86,7 @@ def correlation_rule(
     """
     itemset = _resolve_itemset(db, items)
     if len(itemset) < 2:
-        raise ValueError("correlation needs at least two items")
+        raise ValueError("correlation needs at least two distinct items")
     table = ContingencyTable.from_database(db, itemset)
     test = CorrelationTest(significance=significance)
     return CorrelationRule(itemset=itemset, result=test(table), table=table, minimal=False)
@@ -377,10 +390,7 @@ class IncrementalMiner:
         self._cells = engine.new_cells
         self._result = result
         promoted, demoted = result.border.diff(old_border)
-        hypotheses = sum(
-            stats.candidates - stats.discarded for stats in result.level_stats
-        )
-        self._cumulative_tests += hypotheses
+        self._cumulative_tests += result.hypotheses_tested
         return AppendOutcome(
             generation=self._generation,
             n_appended=delta.n_baskets,
@@ -391,6 +401,6 @@ class IncrementalMiner:
             demoted=demoted,
             tables_served=engine.served,
             tables_recounted=engine.recounted,
-            hypotheses_tested=hypotheses,
+            hypotheses_tested=result.hypotheses_tested,
             result=result,
         )

@@ -28,6 +28,7 @@ __all__ = [
     "render_rules",
     "render_level_stats",
     "rule_to_dict",
+    "cells_to_dict",
     "mining_result_to_dict",
     "significance_summary",
 ]
@@ -72,6 +73,19 @@ def significance_summary(
     if cumulative_tests is not None:
         summary["cumulative_tests"] = cumulative_tests
     return summary
+
+
+def cells_to_dict(table: ContingencyTable) -> dict[str, int]:
+    """The occupied cells keyed by presence flags, first item first.
+
+    ``"10"`` is the pair cell with only the first item present; the
+    wire form of the point-query and top-K responses.
+    """
+    width = table.n_items
+    return {
+        format(cell, f"0{width}b")[::-1]: int(count)
+        for cell, count in sorted(table.nonzero_counts().items())
+    }
 
 
 def _names(itemset: Itemset, vocabulary: ItemVocabulary | None) -> list[str]:

@@ -19,6 +19,7 @@ from itertools import combinations
 
 from repro.core.contingency import ContingencyTable
 from repro.core.correlation import chi_squared
+from repro.core.interest import interest
 from repro.core.itemsets import Itemset
 from repro.data.basket import BasketDatabase
 from repro.stats.criticals import critical_value
@@ -58,14 +59,6 @@ class PairScreen:
         return max(defined, key=extremeness)
 
 
-def _interest(table: ContingencyTable, pattern: tuple[bool, bool]) -> float:
-    cell = table.cell_of_pattern(pattern)
-    expected = table.expected(cell)
-    if expected == 0.0:
-        return math.nan if table.observed(cell) == 0 else math.inf
-    return table.observed(cell) / expected
-
-
 def pairwise_screen(
     db: BasketDatabase,
     significance: float = 0.95,
@@ -85,11 +78,12 @@ def pairwise_screen(
     for a, b in combinations(universe, 2):
         table = ContingencyTable.from_database(db, Itemset((a, b)))
         statistic = chi_squared(table)
+        # Bit 0 is item a: the cells of I(ab), I(~a b), I(a ~b), I(~a ~b).
         interests = (
-            _interest(table, (True, True)),
-            _interest(table, (False, True)),
-            _interest(table, (True, False)),
-            _interest(table, (False, False)),
+            interest(table, 0b11),
+            interest(table, 0b10),
+            interest(table, 0b01),
+            interest(table, 0b00),
         )
         rows.append(
             PairScreen(

@@ -7,14 +7,14 @@ So the exhaustive top-K needs no tree and no candidate generation:
 :func:`top_k_pairs` visits every pair of items once, scores it with the
 closed-form 2x2 statistic, and keeps a running K-th best.
 
-Reported statistics go through the same
-:class:`~repro.core.contingency.ContingencyTable` /
-:func:`~repro.core.correlation.chi_squared` path as every counting
-backend, so they are bit-identical to the miner's.  The closed form
-only ranks: every pair within :data:`_PRUNE_SLACK` of the K-th
-closed-form value is re-scored exactly before the final ordering, so
-rounding differences between the two expressions cannot change which
-pairs make the cut.
+Reported statistics go through the miner's own recipe,
+:func:`~repro.core.correlation.chi2_from_cells` on the pair's
+:func:`~repro.core.contingency.pair_cells`, so they are bit-identical to
+the miner's.  The closed form only ranks: every pair within
+:data:`_PRUNE_SLACK` of the K-th closed-form value is re-scored exactly
+before the final ordering, so rounding differences between the two
+expressions cannot change which pairs make the cut.  Tables are built
+only for the K entries returned.
 
 Ranking is deterministic: descending chi-squared, ascending itemset on
 exact ties.
@@ -26,9 +26,10 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.core.contingency import ContingencyTable
-from repro.core.correlation import chi_squared
+from repro.core.contingency import ContingencyTable, pair_cells
+from repro.core.correlation import chi2_from_cells
 from repro.core.itemsets import Itemset, ItemVocabulary
+from repro.core.report import cells_to_dict
 from repro.data.basket import BasketDatabase
 
 __all__ = ["TopKEntry", "entries_to_dicts", "top_k_pairs"]
@@ -52,16 +53,6 @@ def _chi2_closed_form(n: float, count_a: float, count_b: float, both: float) -> 
         return 0.0
     deviation = n * both - count_a * count_b
     return n * deviation * deviation / denominator
-
-
-def _pair_cells(n: int, count_first: int, count_second: int, both: int) -> dict[int, int]:
-    """The four 2x2 cells; bit 0 is the pair's first (smaller-id) item."""
-    return {
-        0b11: both,
-        0b01: count_first - both,
-        0b10: count_second - both,
-        0b00: n - count_first - count_second + both,
-    }
 
 
 def _slack_below(value: float) -> float:
@@ -93,18 +84,13 @@ def entries_to_dicts(
             vocabulary.name_of(item) if vocabulary is not None else item
             for item in entry.itemset.items
         ]
-        width = len(entry.itemset)
-        cells = {
-            "".join("1" if (cell >> j) & 1 else "0" for j in range(width)): int(count)
-            for cell, count in sorted(entry.table.nonzero_counts().items())
-        }
         payload.append(
             {
                 "rank": rank,
                 "items": items,
                 "chi2": entry.statistic,
                 "cooccurrence": entry.cooccurrence,
-                "cells": cells,
+                "cells": cells_to_dict(entry.table),
             }
         )
     return payload
@@ -160,15 +146,18 @@ def top_k_pairs(
             if len(best) == k:
                 cutoff = _slack_below(best[0])
 
-    ranked: list[tuple[float, tuple[int, ...], TopKEntry]] = []
+    ranked: list[tuple[float, tuple[int, int], float, dict[int, int]]] = []
     for score, first, second, both in survivors:
         if score < cutoff:
             continue
-        itemset = Itemset((first, second))
-        table = ContingencyTable.from_cell_counts(
-            itemset, _pair_cells(n, counts[first], counts[second], both), n
-        )
-        statistic = chi_squared(table)
-        ranked.append((-statistic, itemset.items, TopKEntry(itemset, statistic, table)))
+        count_first, count_second = counts[first], counts[second]
+        cells = pair_cells(n, count_first, count_second, both)
+        statistic = chi2_from_cells(cells, (count_first, count_second), n)
+        ranked.append((-statistic, (first, second), statistic, cells))
     ranked.sort(key=lambda row: row[:2])
-    return tuple(entry for _, _, entry in ranked[:k])
+    entries = []
+    for _, pair, statistic, cells in ranked[:k]:
+        itemset = Itemset(pair)
+        table = ContingencyTable.from_cell_counts(itemset, cells, n)
+        entries.append(TopKEntry(itemset, statistic, table))
+    return tuple(entries)

@@ -41,13 +41,12 @@ from bisect import insort
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.core.contingency import ContingencyTable, count_cells
+from repro.core.contingency import ContingencyTable, count_cells, pair_cells
 from repro.core.correlation import chi_squared
 from repro.core.itemsets import Itemset, ItemVocabulary
 from repro.core.topk import (
     TopKEntry,
     _chi2_closed_form,
-    _pair_cells,
     _slack_below,
     entries_to_dicts,
 )
@@ -280,8 +279,7 @@ class FPTreePairEngine:
                 continue
             first, second = candidate.items
             both = self.pair_cooccurrence().get((first, second), 0)
-            cells = _pair_cells(n, counts[first], counts[second], both)
-            counted.append({cell: count for cell, count in cells.items() if count})
+            counted.append(pair_cells(n, counts[first], counts[second], both))
         return counted
 
     # -- top-K branch-and-bound ----------------------------------------------
@@ -401,7 +399,7 @@ class FPTreePairEngine:
                     )
                     itemset = Itemset((first, second))
                     table = ContingencyTable.from_cell_counts(
-                        itemset, _pair_cells(n, counts[first], counts[second], both), n
+                        itemset, pair_cells(n, counts[first], counts[second], both), n
                     )
                     statistic = chi_squared(table)
                     entry = (-statistic, itemset.items, TopKEntry(itemset, statistic, table))

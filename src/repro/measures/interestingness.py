@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 
-def _pair_cells(table: ContingencyTable) -> tuple[float, float, float, float, float]:
+def _observed_2x2(table: ContingencyTable) -> tuple[float, float, float, float, float]:
     """(O11, O10_first_only, O01_second_only, O00, n) for a 2-item table."""
     if table.n_items != 2:
         raise ValueError(f"pair measures need a 2-item table, got {table.n_items}")
@@ -62,7 +62,7 @@ def phi_coefficient(table: ContingencyTable) -> float:
     Positive for positive association, negative for negative; 0 at
     independence; ``nan`` when a marginal is degenerate.
     """
-    o11, o10, o01, o00, n = _pair_cells(table)
+    o11, o10, o01, o00, n = _observed_2x2(table)
     r1, r0 = o11 + o10, o01 + o00
     c1, c0 = o11 + o01, o10 + o00
     denominator = math.sqrt(r1 * r0 * c1 * c0)
@@ -73,7 +73,7 @@ def phi_coefficient(table: ContingencyTable) -> float:
 
 def odds_ratio(table: ContingencyTable) -> float:
     """(O11 O00)/(O10 O01); inf for a never-failing association."""
-    o11, o10, o01, o00, _ = _pair_cells(table)
+    o11, o10, o01, o00, _ = _observed_2x2(table)
     cross = o10 * o01
     if cross == 0.0:
         return math.nan if o11 * o00 == 0.0 else math.inf
@@ -82,7 +82,7 @@ def odds_ratio(table: ContingencyTable) -> float:
 
 def jaccard(table: ContingencyTable) -> float:
     """O11 over baskets containing at least one of the items."""
-    o11, o10, o01, o00, n = _pair_cells(table)
+    o11, o10, o01, o00, n = _observed_2x2(table)
     union = n - o00
     if union == 0.0:
         return math.nan
@@ -91,7 +91,7 @@ def jaccard(table: ContingencyTable) -> float:
 
 def cosine(table: ContingencyTable) -> float:
     """O11 / sqrt(r1 c1) — null-invariant (ignores O00 entirely)."""
-    o11, o10, o01, _, _ = _pair_cells(table)
+    o11, o10, o01, _, _ = _observed_2x2(table)
     r1 = o11 + o10
     c1 = o11 + o01
     if r1 == 0.0 or c1 == 0.0:
@@ -101,7 +101,7 @@ def cosine(table: ContingencyTable) -> float:
 
 def all_confidence(table: ContingencyTable) -> float:
     """min of the two directional confidences; downward closed."""
-    o11, o10, o01, _, _ = _pair_cells(table)
+    o11, o10, o01, _, _ = _observed_2x2(table)
     larger = max(o11 + o10, o11 + o01)
     if larger == 0.0:
         return math.nan
@@ -110,7 +110,7 @@ def all_confidence(table: ContingencyTable) -> float:
 
 def kulczynski(table: ContingencyTable) -> float:
     """Arithmetic mean of the two directional confidences."""
-    o11, o10, o01, _, _ = _pair_cells(table)
+    o11, o10, o01, _, _ = _observed_2x2(table)
     r1 = o11 + o10
     c1 = o11 + o01
     if r1 == 0.0 or c1 == 0.0:
@@ -120,7 +120,7 @@ def kulczynski(table: ContingencyTable) -> float:
 
 def measure_catalog(table: ContingencyTable) -> dict[str, float]:
     """All pair measures of this module, plus lift, at once."""
-    o11, o10, o01, _, n = _pair_cells(table)
+    o11, o10, o01, _, n = _observed_2x2(table)
     r1 = o11 + o10
     c1 = o11 + o01
     lift = (o11 * n) / (r1 * c1) if r1 and c1 else math.nan

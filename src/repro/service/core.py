@@ -50,11 +50,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.core.border import Border
-from repro.core.contingency import ContingencyTable
-from repro.core.correlation import CorrelationTest
 from repro.core.itemsets import Itemset
-from repro.core.mining import IncrementalMiner
-from repro.core.report import rule_to_dict, significance_summary
+from repro.core.mining import IncrementalMiner, correlation_rule
+from repro.core.report import cells_to_dict, rule_to_dict, significance_summary
 from repro.core.rules import CorrelationRule
 from repro.core.topk import entries_to_dicts, top_k_pairs
 from repro.data.basket import BasketDatabase
@@ -134,7 +132,6 @@ class MiningService:
             max_level=max_level,
             telemetry_factory=mining_telemetry,
         )
-        self.test = CorrelationTest(significance=significance)
         # Appends serialize on the writer lock; the service lock guards
         # only the published snapshot reference.
         self._write_lock = threading.Lock()
@@ -191,9 +188,7 @@ class MiningService:
         hypotheses = 0
         rules: tuple[CorrelationRule, ...] = ()
         if result is not None:
-            hypotheses = sum(
-                stats.candidates - stats.discarded for stats in result.level_stats
-            )
+            hypotheses = result.hypotheses_tested
             rules = tuple(
                 sorted(result.rules, key=lambda rule: (-rule.statistic, rule.itemset))
             )
@@ -294,28 +289,8 @@ class MiningService:
         counted off the snapshot's bitmaps."""
         with self._request("correlation"):
             view = self._current()
-            vocabulary = view.db.vocabulary
-            resolved: list[int] = []
-            for item in items:
-                if isinstance(item, str):
-                    if item not in vocabulary:
-                        raise ValueError(f"unknown item {item!r}")
-                    resolved.append(vocabulary.id_of(item))
-                elif isinstance(item, int) and not isinstance(item, bool):
-                    if not 0 <= item < view.db.n_items:
-                        raise ValueError(f"item id {item} out of range")
-                    resolved.append(item)
-                else:
-                    raise ValueError(f"items must be names or ids, got {item!r}")
-            itemset = Itemset(resolved)
-            if len(itemset) < 2:
-                raise ValueError("correlation needs at least two distinct items")
-            table = ContingencyTable.from_database(view.db, itemset)
-            evidence = self.test(table)
-            cells = {
-                format(cell, f"0{len(itemset)}b")[::-1]: int(count)
-                for cell, count in sorted(table.nonzero_counts().items())
-            }
+            rule = correlation_rule(view.db, items, self.miner.significance)
+            itemset, evidence = rule.itemset, rule.result
             return {
                 "generation": view.generation,
                 "items": view.decode(itemset),
@@ -327,8 +302,8 @@ class MiningService:
                 "reliable": evidence.reliable,
                 "minimal": view.border.is_minimal(itemset),
                 "covered_by_border": view.border.covers(itemset),
-                "cells": cells,
-                "n": int(table.n),
+                "cells": cells_to_dict(rule.table),
+                "n": int(rule.table.n),
                 "significance_summary": dict(view.summary),
             }
 

@@ -2,14 +2,12 @@
 
 import pytest
 
-from repro.algorithms.chi2support import (
-    ChiSquaredSupportMiner,
-    mine_significant_itemsets,
-)
+from repro.algorithms.chi2support import ChiSquaredSupportMiner
 from repro.core.contingency import ContingencyTable
 from repro.core.correlation import CorrelationTest, chi_squared
 from repro.core.itemsets import Itemset
 from repro.core.lattice import minimal_satisfying
+from repro.core.mining import mine_correlations
 from repro.counting import BACKENDS
 from repro.data.basket import BasketDatabase
 from repro.measures.cellsupport import AntiSupport, CellSupport
@@ -241,13 +239,14 @@ class TestResultQueries:
 class TestConvenienceWrapper:
     def test_scalar_parameters(self):
         db = make_db_with_planted_pair()
-        result = mine_significant_itemsets(db, support_count=5, support_fraction=0.3)
+        result = mine_correlations(db, support_count=5, support_fraction=0.3)
         assert Itemset([0, 1]) in {r.itemset for r in result.rules}
 
 
 class TestTablesOnlyForSig:
-    def test_default_mine_builds_one_table_per_sig_rule(self, monkeypatch):
-        """Candidates are decided on cells; only SIG itemsets get a table."""
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Every ContingencyTable made while the test runs."""
         built = []
         for name in ("from_cell_counts", "from_database"):
             original = getattr(ContingencyTable, name)
@@ -265,9 +264,21 @@ class TestTablesOnlyForSig:
             built.append(self)
 
         monkeypatch.setattr(ContingencyTable, "__init__", counting_init)
+        return built
 
+    def test_default_mine_builds_one_table_per_sig_rule(self, built):
+        """Candidates are decided on cells; only SIG itemsets get a table."""
         db = make_db_with_planted_pair(seed=5, n=600)
         result = ChiSquaredSupportMiner(support=CellSupport(5, 0.3)).mine(db)
         assert result.rules and result.supported_uncorrelated
         assert len(built) == len(result.rules)
         assert {id(table) for table in built} == {id(rule.table) for rule in result.rules}
+
+    @pytest.mark.parametrize("knobs", [{"statistic": "g"}, {"min_expected_cell": 5.0}])
+    def test_statistic_knobs_build_tables_only_for_sig(self, built, knobs):
+        """The G statistic and the small-cell policy also decide on cells."""
+        db = make_db_with_planted_pair(seed=5, n=600)
+        result = ChiSquaredSupportMiner(support=CellSupport(5, 0.3), **knobs).mine(db)
+        assert result.rules and result.supported_uncorrelated
+        assert {id(table) for table in built} == {id(rule.table) for rule in result.rules}
+        assert len(built) == len(result.rules)

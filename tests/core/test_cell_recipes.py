@@ -1,11 +1,15 @@
 """The cell recipes against the table API they back.
 
 The miner decides every candidate on its counted cells with
-:func:`chi2_from_cells` and :meth:`CellSupport.supports_cells`; the
-table API (:func:`chi_squared`, ``CellSupport(table)``) must agree with
-them exactly — same float, same exception — on every table shape:
-k = 1..6, full tables (the dense branch), sparse ones, and marginals
-pinned at 0 or n (structural zeros).
+:meth:`CellSupport.supports_cells` and one statistic recipe —
+:func:`chi2_from_cells`, :func:`chi2_from_cells_ignoring_small` or
+:func:`g_from_cells`; the table forms (:func:`chi_squared`,
+:func:`chi_squared_ignoring_small_cells`, ``g_statistic`` over
+``observed_expected``, ``CellSupport(table)``) must agree with them
+exactly — same float, same exception — on every table shape: k = 1..6,
+full tables (the dense branch), sparse ones, and marginals pinned at 0
+or n (structural zeros).  The backend-equivalence suite only compares
+backends with each other, so these are what pin the values themselves.
 """
 
 from __future__ import annotations
@@ -14,9 +18,17 @@ import hypothesis.strategies as st
 from hypothesis import example, given
 
 from repro.core.contingency import ContingencyTable
-from repro.core.correlation import chi2_from_cells, chi_squared, chi_squared_dense
+from repro.core.correlation import (
+    chi2_from_cells,
+    chi2_from_cells_ignoring_small,
+    chi_squared,
+    chi_squared_dense,
+    chi_squared_ignoring_small_cells,
+    g_from_cells,
+)
 from repro.core.itemsets import Itemset
 from repro.measures.cellsupport import CellSupport
+from repro.stats.gtest import g_statistic
 
 
 @st.composite
@@ -48,11 +60,15 @@ def item_counts(k: int, cells: dict[int, int]) -> list[int]:
 
 
 def outcome(function, *args):
-    """The function's value, or ``ZeroDivisionError`` if it raised one."""
+    """The function's value, or the type of the error it raised.
+
+    ``ZeroDivisionError`` is the chi-squared sums' degenerate table,
+    ``ValueError`` the G statistic's.
+    """
     try:
         return function(*args)
-    except ZeroDivisionError:
-        return ZeroDivisionError
+    except (ZeroDivisionError, ValueError) as error:
+        return type(error)
 
 
 # Six items each present in one basket of 10^300: every all-present
@@ -79,6 +95,64 @@ def test_chi2_from_cells_raises_on_underflowed_expectation():
     table = ContingencyTable.from_cell_counts(Itemset(range(k)), cells, n)
     assert outcome(chi_squared, table) is ZeroDivisionError
     assert outcome(chi2_from_cells, cells, item_counts(k, cells), n) is ZeroDivisionError
+
+
+def table_g(table: ContingencyTable) -> float:
+    """The G statistic the miner's table path computed."""
+    return g_statistic(table.observed_expected(occupied_only=True))
+
+
+@given(cell_tables())
+@example(_UNDERFLOW)
+def test_g_from_cells_is_table_g(table_cells):
+    k, cells = table_cells
+    n = sum(cells.values())
+    table = ContingencyTable.from_cell_counts(Itemset(range(k)), cells, n)
+    assert outcome(g_from_cells, cells, item_counts(k, cells), n) == outcome(table_g, table)
+
+
+def small_cell_reference(table: ContingencyTable, floor: float) -> float:
+    """§3.3's truncated sum, one :meth:`~ContingencyTable.expected` per cell."""
+    total = 0.0
+    for cell in table.cells():
+        observed, expected = table.observed(cell), table.expected(cell)
+        if expected < floor:
+            continue
+        if expected == 0.0:
+            if observed:
+                raise ZeroDivisionError
+            continue
+        deviation = observed - expected
+        total += deviation * deviation / expected
+    return total
+
+
+@st.composite
+def small_cell_cases(draw):
+    """A table plus a floor: zero, on one of its expectations, or above all."""
+    k, cells = draw(cell_tables())
+    n = sum(cells.values())
+    table = ContingencyTable.from_cell_counts(Itemset(range(k)), cells, n)
+    expectations = [table.expected(cell) for cell in table.cells()]
+    floor = draw(st.sampled_from([0.0, *expectations, float(n) + 1.0]))
+    return k, cells, floor
+
+
+@given(small_cell_cases())
+@example((*_UNDERFLOW, 0.0))
+@example((*_UNDERFLOW, 1.0))
+def test_small_cell_chi2_from_cells_is_table_form(case):
+    k, cells, floor = case
+    n = sum(cells.values())
+    table = ContingencyTable.from_cell_counts(Itemset(range(k)), cells, n)
+    expected = outcome(small_cell_reference, table, floor)
+    assert outcome(chi_squared_ignoring_small_cells, table, floor) == expected
+    assert outcome(chi2_from_cells_ignoring_small, cells, item_counts(k, cells), n, floor) == (
+        expected
+    )
+    if floor > n:
+        # Every expectation is at most n: the whole table is truncated away.
+        assert expected == 0.0
 
 
 @st.composite

@@ -26,8 +26,22 @@ class TestCorrelationRuleQuery:
             correlation_rule(tea_coffee_db, ["tea"])
 
     def test_unknown_name_raises(self, tea_coffee_db):
-        with pytest.raises(KeyError):
-            correlation_rule(tea_coffee_db, ["tea", "nope"])
+        with pytest.raises(ValueError, match="unknown item 'milk'"):
+            correlation_rule(tea_coffee_db, ["tea", "milk"])
+
+    @pytest.mark.parametrize("query", [correlation_rule, compare_frameworks])
+    @pytest.mark.parametrize(
+        ("items", "message"),
+        [
+            ([0, 5], "item id 5 out of range"),
+            ([-1, 0], "item id -1 out of range"),
+            ([0, 1.0], "items must be names or ids"),
+            ([0, True], "items must be names or ids"),
+        ],
+    )
+    def test_invalid_ids_rejected(self, tea_coffee_db, query, items, message):
+        with pytest.raises(ValueError, match=message):
+            query(tea_coffee_db, items)
 
     def test_not_marked_minimal(self, tea_coffee_db):
         assert correlation_rule(tea_coffee_db, ["tea", "coffee"]).minimal is False
